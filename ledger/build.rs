@@ -1,0 +1,16 @@
+//! Records the compiler that built the ledger, for the machine fingerprint.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".into());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_owned(), |s| s.trim().to_owned());
+    println!("cargo:rustc-env=LEDGER_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
