@@ -13,6 +13,9 @@
 #   tools       the observability binaries ($stats/$trace/$topo/dump)
 #   capture     capture→replay round-trip, flight-recorder kill test,
 #               trailer-negotiation interop
+#   ledger      the benchmark itself, built against the crates it
+#               measures: `ledger run --smoke` (every workload, untraced
+#               and traced, tiny counts) and the ledger's own unit tests
 #   all         everything above, serially
 #
 # Every command's stdout is scanned for the one-line schema-bearing JSON
@@ -75,18 +78,28 @@ suite_capture() {
   run trailer-interop cargo test -q -p pbio-integration --test trace
 }
 
+suite_ledger() {
+  # ledger/ is a package of its own (own workspace and lock file), so the
+  # workspace build never compiles it: without this suite an API change
+  # in a measured crate breaks the benchmark unnoticed.
+  run ledger-smoke cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- run --smoke
+  run ledger-tests cargo test --offline --manifest-path ledger/Cargo.toml
+}
+
 case "$SUITE" in
   fanout) suite_fanout ;;
   mesh) suite_mesh ;;
   resilience) suite_resilience ;;
   tools) suite_tools ;;
   capture) suite_capture ;;
+  ledger) suite_ledger ;;
   all)
     suite_fanout
     suite_mesh
     suite_resilience
     suite_tools
     suite_capture
+    suite_ledger
     ;;
   *)
     echo "unknown suite: $SUITE" >&2

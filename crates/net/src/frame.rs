@@ -21,9 +21,19 @@
 //!
 //! Frame bodies are [`WireBuf`]s — shared immutable buffers — so a frame
 //! queued to many connections is one allocation plus refcount bumps.
-//! Writes are vectored: the header lives on the stack and goes out in the
-//! same `writev` as the (borrowed) body, and [`write_frames`] coalesces a
-//! batch of queued frames into ~one syscall.
+//! Writes are vectored: the header goes out in the same `writev` as the
+//! (borrowed) body, and [`write_frames`] coalesces a batch of queued
+//! frames into ~one syscall.
+//!
+//! A frame is checksummed **once per hop**, at memory speed ([`crate::crc`]).
+//! The blocking writers encode each header on the stack just before the
+//! write that cannot come back short. The nonblocking path cannot promise
+//! that — a `writev` may stop anywhere and be retried many wakeups later —
+//! so [`WriteBatch`] encodes a frame's header when the frame is pushed
+//! and keeps the 17 bytes beside it: a resumed flush re-sends stored
+//! bytes, it never sums the body again. [`encode_header`],
+//! [`FrameHeader::parse`] and [`FrameHeader::verify`] are the only code
+//! that knows the header layout.
 //!
 //! The codec is transport-agnostic over `std::io` streams and is
 //! timeout-aware: with a read timeout armed on the underlying socket,
@@ -33,6 +43,7 @@
 //! atomically, so a partially received frame means bytes in flight, not an
 //! idle peer — which keeps the stream from desynchronizing on a timeout.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, IoSlice, Read, Write};
 
@@ -45,62 +56,16 @@ pub const FRAME_HEADER_SIZE: usize = 17;
 /// Bytes of the header covered by the checksum (everything before it).
 const CRC_PREFIX: usize = 13;
 
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected), table-driven.
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc32_table();
-
-/// Feed `bytes` into a running CRC-32 state (start from
-/// [`CRC_INIT`], finish with [`crc32_finish`]).
-#[inline]
-pub fn crc32_update(mut state: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        state = CRC_TABLE[((state ^ b as u32) & 0xFF) as usize] ^ (state >> 8);
-    }
-    state
-}
-
-/// Initial CRC-32 state.
-pub const CRC_INIT: u32 = 0xFFFF_FFFF;
-
-/// Finalize a CRC-32 state into the checksum value.
-#[inline]
-pub fn crc32_finish(state: u32) -> u32 {
-    !state
-}
-
-/// One-shot CRC-32 of a byte slice.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    crc32_finish(crc32_update(CRC_INIT, bytes))
-}
+pub use crate::crc::{crc32, crc32_finish, crc32_update, CRC_INIT};
 
 /// Upper bound on a frame body; larger lengths are rejected as corrupt
 /// (protects the reader from allocating on a garbage length field).
 pub const MAX_FRAME_BODY: usize = 64 << 20;
 
-/// Most frames [`write_frames`] coalesces into one vectored write. Two
-/// iovecs per frame (header + body) keeps the batch within a typical
-/// `IOV_MAX` by a wide margin while still amortizing the syscall.
+/// Most frames [`write_frames`] and [`WriteBatch`] coalesce into one
+/// vectored write. Two iovecs per frame (header + body) keeps the batch
+/// within a typical `IOV_MAX` by a wide margin while still amortizing the
+/// syscall.
 pub const MAX_WRITE_BATCH: usize = 16;
 
 /// One session frame.
@@ -156,6 +121,42 @@ pub struct FrameHeader {
     /// Checksum announced by the sender (CRC-32 over the 13 preceding
     /// header bytes plus the body); verified when the body is read.
     pub crc: u32,
+}
+
+impl FrameHeader {
+    /// Decode the 17 header bytes ([`encode_header`]'s inverse). A length
+    /// field above [`MAX_FRAME_BODY`] is [`FrameError::TooLarge`] — the
+    /// error carries the announced length, so a caller that must skip the
+    /// body still can.
+    pub fn parse(h: &[u8; FRAME_HEADER_SIZE]) -> Result<FrameHeader, FrameError> {
+        let word = |at: usize| u32::from_be_bytes([h[at], h[at + 1], h[at + 2], h[at + 3]]);
+        let len = word(9) as usize;
+        if len > MAX_FRAME_BODY {
+            return Err(FrameError::TooLarge(len));
+        }
+        Ok(FrameHeader {
+            kind: h[0],
+            a: word(1),
+            b: word(5),
+            len,
+            crc: word(13),
+        })
+    }
+
+    /// Check `body` against the checksum this header announced:
+    /// [`FrameError::Corrupt`] unless header fields and body are exactly
+    /// what the sender summed. One pass over the body.
+    pub fn verify(&self, body: &[u8]) -> Result<(), FrameError> {
+        let sent = encode_header(self.kind, self.a, self.b, body);
+        let actual = u32::from_be_bytes([sent[13], sent[14], sent[15], sent[16]]);
+        if actual != self.crc || body.len() != self.len {
+            return Err(FrameError::Corrupt {
+                expected: self.crc,
+                actual,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Errors surfaced by the frame codec.
@@ -240,8 +241,11 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<(), FrameError> {
     Ok(())
 }
 
-/// Encode a frame header (checksum included) into a stack buffer.
-fn encode_header_raw(kind: u8, a: u32, b: u32, body: &[u8]) -> [u8; FRAME_HEADER_SIZE] {
+/// Encode a frame's 17 header bytes: `kind a b len crc`, with `crc` the
+/// CRC-32 of the 13 bytes before it plus `body` — the one pass over the
+/// body a sender makes.
+pub fn encode_header(kind: u8, a: u32, b: u32, body: &[u8]) -> [u8; FRAME_HEADER_SIZE] {
+    debug_assert!(body.len() <= MAX_FRAME_BODY);
     let mut h = [0u8; FRAME_HEADER_SIZE];
     h[0] = kind;
     h[1..5].copy_from_slice(&a.to_be_bytes());
@@ -250,11 +254,6 @@ fn encode_header_raw(kind: u8, a: u32, b: u32, body: &[u8]) -> [u8; FRAME_HEADER
     let crc = crc32_finish(crc32_update(crc32_update(CRC_INIT, &h[..CRC_PREFIX]), body));
     h[13..17].copy_from_slice(&crc.to_be_bytes());
     h
-}
-
-/// Encode `frame`'s header into a stack buffer.
-fn encode_header(frame: &Frame) -> [u8; FRAME_HEADER_SIZE] {
-    encode_header_raw(frame.kind, frame.a, frame.b, &frame.body)
 }
 
 /// Drive `write_vectored` until every buffer is fully written (the stable
@@ -296,8 +295,7 @@ pub fn write_frame_raw(
     b: u32,
     body: &[u8],
 ) -> io::Result<()> {
-    debug_assert!(body.len() <= MAX_FRAME_BODY);
-    let h = encode_header_raw(kind, a, b, body);
+    let h = encode_header(kind, a, b, body);
     let mut slices = [IoSlice::new(&h), IoSlice::new(body)];
     write_all_vectored(w, &mut slices)?;
     let m = net_metrics();
@@ -317,8 +315,7 @@ pub fn write_frames(w: &mut impl Write, frames: &[Frame]) -> io::Result<usize> {
     for chunk in frames.chunks(MAX_WRITE_BATCH) {
         let mut headers = [[0u8; FRAME_HEADER_SIZE]; MAX_WRITE_BATCH];
         for (h, frame) in headers.iter_mut().zip(chunk) {
-            debug_assert!(frame.body.len() <= MAX_FRAME_BODY);
-            *h = encode_header(frame);
+            *h = encode_header(frame.kind, frame.a, frame.b, &frame.body);
         }
         let mut slices = [IoSlice::new(&[]); 2 * MAX_WRITE_BATCH];
         let mut n = 0;
@@ -361,36 +358,14 @@ pub fn read_frame_header(r: &mut impl Read) -> Result<FrameHeader, FrameError> {
             Err(e) => return Err(FrameError::Io(e)),
         }
     }
-    let mut rest = [0u8; FRAME_HEADER_SIZE - 1];
-    read_full(r, &mut rest)?;
-    let a = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]);
-    let b = u32::from_be_bytes([rest[4], rest[5], rest[6], rest[7]]);
-    let len = u32::from_be_bytes([rest[8], rest[9], rest[10], rest[11]]) as usize;
-    let crc = u32::from_be_bytes([rest[12], rest[13], rest[14], rest[15]]);
-    if len > MAX_FRAME_BODY {
-        return Err(FrameError::TooLarge(len));
-    }
+    let mut h = [0u8; FRAME_HEADER_SIZE];
+    h[0] = first[0];
+    read_full(r, &mut h[1..])?;
+    let header = FrameHeader::parse(&h)?;
     let m = net_metrics();
     m.frames_in.inc();
     m.bytes_in.add(FRAME_HEADER_SIZE as u64);
-    Ok(FrameHeader {
-        kind: first[0],
-        a,
-        b,
-        len,
-        crc,
-    })
-}
-
-/// Running CRC of a decoded header's checksummed prefix (the 13 bytes
-/// before the `crc` field), reconstructed from its fields.
-fn header_prefix_crc(header: &FrameHeader) -> u32 {
-    let mut h = [0u8; CRC_PREFIX];
-    h[0] = header.kind;
-    h[1..5].copy_from_slice(&header.a.to_be_bytes());
-    h[5..9].copy_from_slice(&header.b.to_be_bytes());
-    h[9..13].copy_from_slice(&(header.len as u32).to_be_bytes());
-    crc32_update(CRC_INIT, &h)
+    Ok(header)
 }
 
 /// Read and throw away the `len`-byte body that follows a
@@ -485,15 +460,7 @@ pub fn read_frame_body(
     }
     let m = net_metrics();
     m.bytes_in.add(len as u64);
-    let actual = crc32_finish(crc32_update(header_prefix_crc(header), buf));
-    if actual != header.crc {
-        m.frames_corrupt.inc();
-        return Err(FrameError::Corrupt {
-            expected: header.crc,
-            actual,
-        });
-    }
-    Ok(())
+    header.verify(buf).inspect_err(|_| m.frames_corrupt.inc())
 }
 
 /// Read one frame, placing its body in `buf` — the steady-state receive
@@ -634,45 +601,36 @@ impl FrameDecoder {
         if avail < FRAME_HEADER_SIZE {
             return Ok(None);
         }
-        let h = &self.buf[self.pos..self.pos + FRAME_HEADER_SIZE];
-        let header = FrameHeader {
-            kind: h[0],
-            a: u32::from_be_bytes([h[1], h[2], h[3], h[4]]),
-            b: u32::from_be_bytes([h[5], h[6], h[7], h[8]]),
-            len: u32::from_be_bytes([h[9], h[10], h[11], h[12]]) as usize,
-            crc: u32::from_be_bytes([h[13], h[14], h[15], h[16]]),
+        let h: &[u8; FRAME_HEADER_SIZE] = self.buf[self.pos..self.pos + FRAME_HEADER_SIZE]
+            .try_into()
+            .expect("slice is header-sized");
+        let header = match FrameHeader::parse(h) {
+            Ok(header) => header,
+            Err(FrameError::TooLarge(len)) => {
+                // Consume the header plus any body bytes already buffered
+                // and arm the skip for the rest, so a hostile length never
+                // drives a proportional allocation (same bound as
+                // read_frame_body).
+                let buffered_body = (avail - FRAME_HEADER_SIZE).min(len);
+                self.pos += FRAME_HEADER_SIZE + buffered_body;
+                self.skip = (len - buffered_body) as u64;
+                net_metrics()
+                    .bytes_in
+                    .add((FRAME_HEADER_SIZE + buffered_body) as u64);
+                return Err(FrameError::TooLarge(len));
+            }
+            Err(e) => return Err(e),
         };
-        if header.len > MAX_FRAME_BODY {
-            // Consume the header plus any body bytes already buffered and
-            // arm the skip for the rest, so a hostile length never drives
-            // a proportional allocation (same bound as read_frame_body).
-            let buffered_body = (avail - FRAME_HEADER_SIZE).min(header.len);
-            self.pos += FRAME_HEADER_SIZE + buffered_body;
-            self.skip = (header.len - buffered_body) as u64;
-            net_metrics()
-                .bytes_in
-                .add((FRAME_HEADER_SIZE + buffered_body) as u64);
-            return Err(FrameError::TooLarge(header.len));
-        }
         if avail < FRAME_HEADER_SIZE + header.len {
             return Ok(None);
         }
         let body_start = self.pos + FRAME_HEADER_SIZE;
-        let actual = crc32_finish(crc32_update(
-            header_prefix_crc(&header),
-            &self.buf[body_start..body_start + header.len],
-        ));
+        let checked = header.verify(&self.buf[body_start..body_start + header.len]);
         self.pos += FRAME_HEADER_SIZE + header.len;
         let m = net_metrics();
         m.frames_in.inc();
         m.bytes_in.add((FRAME_HEADER_SIZE + header.len) as u64);
-        if actual != header.crc {
-            m.frames_corrupt.inc();
-            return Err(FrameError::Corrupt {
-                expected: header.crc,
-                actual,
-            });
-        }
+        checked.inspect_err(|_| m.frames_corrupt.inc())?;
         Ok(Some((
             header,
             &self.buf[body_start..body_start + header.len],
@@ -680,11 +638,11 @@ impl FrameDecoder {
     }
 }
 
-/// What one [`write_frames_nonblocking`] call accomplished.
+/// What one [`WriteBatch::flush`] call accomplished.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlushProgress {
-    /// Frames written to completion — the caller drains exactly this many
-    /// from the front of its pending queue.
+    /// Frames written to completion, each handed to the caller's
+    /// `on_done` in queue order.
     pub frames_done: usize,
     /// Bytes written by this call (partial frames included).
     pub bytes: usize,
@@ -693,102 +651,133 @@ pub struct FlushProgress {
     pub blocked: bool,
 }
 
-/// Batched vectored writes for a nonblocking stream, resumable across
-/// `WouldBlock` at any byte boundary.
+/// A frame staged for a nonblocking write, with its header bytes.
+#[derive(Debug)]
+struct Staged {
+    header: [u8; FRAME_HEADER_SIZE],
+    frame: Frame,
+}
+
+/// The frames one nonblocking connection is currently writing: at most
+/// [`MAX_WRITE_BATCH`] of them, each with the header encoded when it was
+/// pushed, plus how far into the front frame the socket has got.
 ///
-/// `cursor` is the connection's partial-write state: how many bytes of
-/// `frames[0]` a previous call already put on the wire (`0` for a fresh
-/// queue). On return it holds the same for the new front of the queue —
-/// after the caller drains `frames_done` frames. Headers are recomputed
-/// deterministically from the frame on resume, so only the byte offset
-/// needs remembering, never header bytes.
-///
-/// The batching shape matches [`write_frames`]: up to [`MAX_WRITE_BATCH`]
-/// frames (stack headers + borrowed bodies) per `writev`.
-pub fn write_frames_nonblocking(
-    w: &mut impl Write,
-    frames: &[Frame],
-    cursor: &mut usize,
-) -> io::Result<FlushProgress> {
-    let m = net_metrics();
-    let mut done = 0usize;
-    let mut bytes = 0usize;
-    let mut skip = *cursor;
-    let mut blocked = false;
-    while done < frames.len() {
-        let chunk = &frames[done..(done + MAX_WRITE_BATCH).min(frames.len())];
-        debug_assert!(skip < FRAME_HEADER_SIZE + chunk[0].body.len());
-        let mut headers = [[0u8; FRAME_HEADER_SIZE]; MAX_WRITE_BATCH];
-        for (h, frame) in headers.iter_mut().zip(chunk) {
-            debug_assert!(frame.body.len() <= MAX_FRAME_BODY);
-            *h = encode_header(frame);
-        }
-        let mut slices = [IoSlice::new(&[]); 2 * MAX_WRITE_BATCH];
-        let mut n = 0;
-        for (i, (h, frame)) in headers.iter().zip(chunk).enumerate() {
-            // The in-progress front frame enters the iovec list at its
-            // resume offset, which may fall inside the header or the body.
-            let (hdr, body): (&[u8], &[u8]) = if i == 0 && skip > 0 {
-                if skip < FRAME_HEADER_SIZE {
-                    (&h[skip..], &frame.body)
-                } else {
-                    (&[], &frame.body[skip - FRAME_HEADER_SIZE..])
-                }
-            } else {
-                (&h[..], &frame.body)
-            };
-            if !hdr.is_empty() {
-                slices[n] = IoSlice::new(hdr);
-                n += 1;
-            }
-            if !body.is_empty() {
-                slices[n] = IoSlice::new(body);
-                n += 1;
-            }
-        }
-        let written = match w.write_vectored(&slices[..n]) {
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::WriteZero,
-                    "failed to write whole frame batch",
-                ))
-            }
-            Ok(written) => written,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                blocked = true;
-                break;
-            }
-            Err(e) => return Err(e),
-        };
-        bytes += written;
-        m.writes.inc();
-        m.bytes_out.add(written as u64);
-        // Attribute the written bytes to frames: those fully covered are
-        // finished; the remainder becomes the new front frame's cursor.
-        let mut rem = written;
-        let mut fin = 0usize;
-        for (i, frame) in chunk.iter().enumerate() {
-            let left = FRAME_HEADER_SIZE + frame.body.len() - if i == 0 { skip } else { 0 };
-            if rem < left {
-                break;
-            }
-            rem -= left;
-            fin += 1;
-        }
-        if fin > 0 {
-            m.frames_out.add(fin as u64);
-            m.write_batch.record(fin as u64);
-        }
-        skip = if fin == 0 { skip + rem } else { rem };
-        done += fin;
+/// [`push`](Self::push) is the only place the nonblocking path encodes a
+/// header — and therefore the only place it reads a body. Call it on the
+/// thread that flushes, after the frame has left whatever queue fed it:
+/// never under that queue's lock, and never for a frame the queue may
+/// still discard. [`flush`](Self::flush) then issues batched `writev`s
+/// (the shape of [`write_frames`]) and survives `WouldBlock` at any byte
+/// boundary — mid-header included — because what remains to be sent is
+/// stored bytes, not something to recompute.
+#[derive(Debug, Default)]
+pub struct WriteBatch {
+    staged: VecDeque<Staged>,
+    /// Bytes of the front frame (header first) already on the wire.
+    offset: usize,
+}
+
+impl WriteBatch {
+    /// An empty batch.
+    pub fn new() -> WriteBatch {
+        WriteBatch::default()
     }
-    *cursor = skip;
-    Ok(FlushProgress {
-        frames_done: done,
-        bytes,
-        blocked,
-    })
+
+    /// Nothing staged: every pushed frame is fully on the wire.
+    pub fn is_empty(&self) -> bool {
+        self.staged.is_empty()
+    }
+
+    /// The batch holds [`MAX_WRITE_BATCH`] frames; flush before pushing.
+    pub fn is_full(&self) -> bool {
+        self.staged.len() >= MAX_WRITE_BATCH
+    }
+
+    /// Stage `frame` behind those already here, checksumming it now. Legal
+    /// while the front frame is partly written.
+    ///
+    /// # Panics
+    ///
+    /// When the batch [`is_full`](Self::is_full).
+    pub fn push(&mut self, frame: Frame) {
+        assert!(!self.is_full(), "WriteBatch holds MAX_WRITE_BATCH frames");
+        let header = encode_header(frame.kind, frame.a, frame.b, &frame.body);
+        self.staged.push_back(Staged { header, frame });
+    }
+
+    /// Write as much of the batch as `w` accepts. Each frame whose last
+    /// byte went out is removed and handed to `on_done`, oldest first. On
+    /// `WouldBlock` the call returns with `blocked` set and the batch
+    /// remembers where to resume; any other error is returned as is and
+    /// the connection should be dropped.
+    pub fn flush(
+        &mut self,
+        w: &mut impl Write,
+        mut on_done: impl FnMut(Frame),
+    ) -> io::Result<FlushProgress> {
+        let m = net_metrics();
+        let mut progress = FlushProgress {
+            frames_done: 0,
+            bytes: 0,
+            blocked: false,
+        };
+        while !self.staged.is_empty() {
+            let mut slices = [IoSlice::new(&[]); 2 * MAX_WRITE_BATCH];
+            let mut n = 0;
+            // The front frame enters the iovec list at its resume offset,
+            // which may fall inside the header or the body.
+            let mut skip = self.offset;
+            for Staged { header, frame } in &self.staged {
+                let hdr = &header[skip.min(FRAME_HEADER_SIZE)..];
+                let body = &frame.body[skip.saturating_sub(FRAME_HEADER_SIZE)..];
+                skip = 0;
+                for part in [hdr, body] {
+                    if !part.is_empty() {
+                        slices[n] = IoSlice::new(part);
+                        n += 1;
+                    }
+                }
+            }
+            let written = match w.write_vectored(&slices[..n]) {
+                Ok(0) => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::WriteZero,
+                        "failed to write whole frame batch",
+                    ))
+                }
+                Ok(written) => written,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    progress.blocked = true;
+                    break;
+                }
+                Err(e) => return Err(e),
+            };
+            progress.bytes += written;
+            m.writes.inc();
+            m.bytes_out.add(written as u64);
+            // Attribute the written bytes to frames: those fully covered
+            // are finished; the remainder is the new front frame's offset.
+            self.offset += written;
+            let mut fin = 0u64;
+            while let Some(front) = self.staged.front() {
+                let size = FRAME_HEADER_SIZE + front.frame.body.len();
+                if self.offset < size {
+                    break;
+                }
+                self.offset -= size;
+                fin += 1;
+                let done = self.staged.pop_front().expect("front was just seen");
+                on_done(done.frame);
+            }
+            if fin > 0 {
+                m.frames_out.add(fin);
+                m.write_batch.record(fin);
+                progress.frames_done += fin as usize;
+            }
+        }
+        Ok(progress)
+    }
 }
 
 #[cfg(test)]
@@ -973,33 +962,88 @@ mod tests {
         assert_eq!(buf.capacity(), 0, "rejected before reserving");
     }
 
+    /// Body sizes on both sides of every checksum-kernel boundary: empty,
+    /// shorter than a 16-byte block, one short of / exactly / one past the
+    /// folding kernel's 64-byte minimum, several folds plus a tail, and
+    /// the benchmark's 10 KB record.
+    const BODY_SIZES: [usize; 7] = [0, 13, 63, 64, 65, 300, 10_240];
+
+    #[test]
+    fn golden_wire_image_is_unchanged() {
+        // The bytes the commit before the checksum kernels changed wrote
+        // for this frame (and `zlib.crc32` agrees): old peers, capture
+        // files and segment logs stay readable only while this holds.
+        let mut wire = Vec::new();
+        write_frame_raw(&mut wire, 0x21, 7, 9, b"123456789").unwrap();
+        let hex: String = wire.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, "21000000070000000900000009a90eb485313233343536373839");
+    }
+
+    #[test]
+    fn header_parse_inverts_encode_and_verify_checks_every_field() {
+        let body = b"some body";
+        let h = encode_header(0x21, 7, u32::MAX, body);
+        let header = FrameHeader::parse(&h).unwrap();
+        assert_eq!(
+            (header.kind, header.a, header.b, header.len),
+            (0x21, 7, u32::MAX, body.len())
+        );
+        header.verify(body).unwrap();
+        for bad in [
+            FrameHeader {
+                kind: 0x22,
+                ..header
+            },
+            FrameHeader { a: 8, ..header },
+            FrameHeader { b: 0, ..header },
+            FrameHeader {
+                crc: !header.crc,
+                ..header
+            },
+        ] {
+            assert!(matches!(bad.verify(body), Err(FrameError::Corrupt { .. })));
+        }
+        assert!(matches!(
+            header.verify(&body[1..]),
+            Err(FrameError::Corrupt { .. })
+        ));
+        let mut oversized = h;
+        oversized[9..13].copy_from_slice(&(MAX_FRAME_BODY as u32 + 1).to_be_bytes());
+        assert!(matches!(
+            FrameHeader::parse(&oversized),
+            Err(FrameError::TooLarge(n)) if n == MAX_FRAME_BODY + 1
+        ));
+    }
+
     #[test]
     fn corrupted_byte_is_detected_anywhere_in_the_frame() {
-        let frame = Frame::with_body(0x21, 7, 9, (0u8..64).collect::<Vec<u8>>());
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &frame).unwrap();
-        // Flip one byte at every offset: header corruption surfaces as
-        // Corrupt or TooLarge (when the length field inflates past the
-        // cursor's EOF, as Io); body corruption is always Corrupt. No
-        // offset ever yields a silently different frame.
-        for i in 0..wire.len() {
-            let mut bad = wire.clone();
-            bad[i] ^= 0x40;
-            let mut r = Cursor::new(bad);
-            match read_frame(&mut r) {
-                Ok(f) => panic!("corruption at byte {i} went undetected: {f:?}"),
-                Err(
-                    FrameError::Corrupt { .. }
-                    | FrameError::TooLarge(_)
-                    | FrameError::Io(_)
-                    | FrameError::Closed,
-                ) => {}
-                Err(e) => panic!("unexpected error for corruption at byte {i}: {e}"),
+        for size in BODY_SIZES {
+            let frame =
+                Frame::with_body(0x21, 7, 9, (0..size).map(|i| i as u8).collect::<Vec<u8>>());
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &frame).unwrap();
+            // Flip one byte at every offset: header corruption surfaces as
+            // Corrupt or TooLarge (when the length field inflates past the
+            // cursor's EOF, as Io); body corruption is always Corrupt. No
+            // offset ever yields a silently different frame.
+            for i in 0..wire.len() {
+                let mut bad = wire.clone();
+                bad[i] ^= 0x40;
+                let mut r = Cursor::new(bad);
+                match read_frame(&mut r) {
+                    Ok(f) => panic!("size {size}: corruption at byte {i} went undetected: {f:?}"),
+                    Err(FrameError::Corrupt { .. }) => {}
+                    Err(FrameError::TooLarge(_) | FrameError::Io(_) | FrameError::Closed)
+                        if i < FRAME_HEADER_SIZE => {}
+                    Err(e) => {
+                        panic!("size {size}: unexpected error for corruption at byte {i}: {e}")
+                    }
+                }
             }
+            // The pristine wire still decodes.
+            let mut r = Cursor::new(wire);
+            assert_eq!(read_frame(&mut r).unwrap(), frame);
         }
-        // The pristine wire still decodes.
-        let mut r = Cursor::new(wire);
-        assert_eq!(read_frame(&mut r).unwrap(), frame);
     }
 
     #[test]
@@ -1094,19 +1138,27 @@ mod tests {
 
     #[test]
     fn decoder_consumes_a_corrupt_frame_and_stays_in_sync() {
-        let good = Frame::with_body(0x21, 1, 2, vec![0xAB; 64]);
         let tail = Frame::control(0x22, 5, 6);
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &good).unwrap();
-        let corrupt_at = FRAME_HEADER_SIZE + 10;
-        wire[corrupt_at] ^= 0x40;
-        write_frame(&mut wire, &tail).unwrap();
-        let mut dec = FrameDecoder::new();
-        let mut r = Cursor::new(wire);
-        dec.fill(&mut r).unwrap();
-        assert!(matches!(dec.next(), Err(FrameError::Corrupt { .. })));
-        let (h, _) = dec.next().unwrap().expect("frame after the corrupt one");
-        assert_eq!((h.kind, h.a, h.b), (0x22, 5, 6));
+        // Every body byte of every size, so each position a checksum
+        // kernel sums — block, fold lane, tail — is flipped at least once.
+        for size in BODY_SIZES {
+            let good = Frame::with_body(0x21, 1, 2, vec![0xAB; size]);
+            for corrupt_at in FRAME_HEADER_SIZE..FRAME_HEADER_SIZE + size {
+                let mut wire = Vec::new();
+                write_frame(&mut wire, &good).unwrap();
+                wire[corrupt_at] ^= 0x40;
+                write_frame(&mut wire, &tail).unwrap();
+                let mut dec = FrameDecoder::new();
+                let mut r = Cursor::new(wire);
+                dec.fill(&mut r).unwrap();
+                assert!(
+                    matches!(dec.next(), Err(FrameError::Corrupt { .. })),
+                    "size {size}, flipped byte {corrupt_at}"
+                );
+                let (h, _) = dec.next().unwrap().expect("frame after the corrupt one");
+                assert_eq!((h.kind, h.a, h.b), (0x22, 5, 6));
+            }
+        }
     }
 
     #[test]
@@ -1154,58 +1206,108 @@ mod tests {
         assert_eq!((h.kind, h.a, h.b), (0x22, 7, 8));
     }
 
+    /// Accepts at most 5 bytes per write and interleaves WouldBlock
+    /// between every acceptance — a congested nonblocking socket.
+    struct Choked {
+        out: Vec<u8>,
+        open: bool,
+    }
+    impl Write for Choked {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if !self.open {
+                self.open = true;
+                return Err(io::Error::new(io::ErrorKind::WouldBlock, "full"));
+            }
+            self.open = false;
+            let n = buf.len().min(5);
+            self.out.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Mixed control/body frames, more than one batch's worth.
+    fn mixed_frames() -> Vec<Frame> {
+        (0..(MAX_WRITE_BATCH as u32 + 5))
+            .map(|i| {
+                if i % 4 == 0 {
+                    Frame::control(0x30, i, i)
+                } else {
+                    Frame::with_body(0x31, i, 0, vec![i as u8; 3 + i as usize])
+                }
+            })
+            .collect()
+    }
+
+    fn sequential_wire(frames: &[Frame]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        for f in frames {
+            write_frame(&mut wire, f).unwrap();
+        }
+        wire
+    }
+
     #[test]
     fn nonblocking_writes_resume_byte_identically_through_wouldblock() {
-        /// Accepts at most 5 bytes per write and interleaves WouldBlock
-        /// between every acceptance — a congested nonblocking socket.
-        struct Choked {
-            out: Vec<u8>,
-            open: bool,
-        }
-        impl Write for Choked {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                if !self.open {
-                    self.open = true;
-                    return Err(io::Error::new(io::ErrorKind::WouldBlock, "full"));
-                }
-                self.open = false;
-                let n = buf.len().min(5);
-                self.out.extend_from_slice(&buf[..n]);
-                Ok(n)
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut frames = Vec::new();
-        for i in 0..(MAX_WRITE_BATCH as u32 + 5) {
-            if i % 4 == 0 {
-                frames.push(Frame::control(0x30, i, i));
-            } else {
-                frames.push(Frame::with_body(0x31, i, 0, vec![i as u8; 3 + i as usize]));
-            }
-        }
-        let mut sequential = Vec::new();
-        for f in &frames {
-            write_frame(&mut sequential, f).unwrap();
-        }
+        let frames = mixed_frames();
         let mut w = Choked {
             out: Vec::new(),
             open: false,
         };
-        let mut pending: Vec<Frame> = frames.clone();
-        let mut cursor = 0usize;
+        let mut queue: VecDeque<Frame> = frames.iter().cloned().collect();
+        let mut batch = WriteBatch::new();
+        let mut done = Vec::new();
         let mut spins = 0;
-        while !pending.is_empty() {
-            let p = write_frames_nonblocking(&mut w, &pending, &mut cursor).unwrap();
-            pending.drain(..p.frames_done);
-            if pending.is_empty() {
-                assert_eq!(cursor, 0, "cursor must clear with the queue");
+        while !(queue.is_empty() && batch.is_empty()) {
+            // Refill only once drained, as the daemon's flush does.
+            if batch.is_empty() {
+                while !batch.is_full() {
+                    let Some(f) = queue.pop_front() else { break };
+                    batch.push(f);
+                }
+            }
+            let before = done.len();
+            let p = batch.flush(&mut w, |f| done.push(f)).unwrap();
+            assert_eq!(p.frames_done, done.len() - before);
+            assert!(p.blocked || batch.is_empty());
+            spins += 1;
+            assert!(spins < 10_000, "writer failed to make progress");
+        }
+        assert_eq!(w.out, sequential_wire(&frames));
+        assert_eq!(done, frames, "every frame reported done, in order");
+    }
+
+    #[test]
+    fn nonblocking_batch_accepts_pushes_while_the_front_frame_is_mid_body() {
+        let frames = mixed_frames();
+        let mut w = Choked {
+            out: Vec::new(),
+            open: true,
+        };
+        let mut queue: VecDeque<Frame> = frames.iter().cloned().collect();
+        let mut batch = WriteBatch::new();
+        // A front frame with a body long enough that 5 bytes a flush
+        // leaves it in the header, then in the body, for many rounds.
+        batch.push(queue.pop_front().unwrap());
+        batch.push(queue.pop_front().unwrap());
+        let mut done = 0;
+        let mut spins = 0;
+        while !(queue.is_empty() && batch.is_empty()) {
+            // Top the batch up after *every* flush — the mesh link's
+            // shape — so pushes land at every resume offset.
+            let p = batch.flush(&mut w, |_| done += 1).unwrap();
+            assert!(p.bytes <= 5);
+            while !batch.is_full() {
+                let Some(f) = queue.pop_front() else { break };
+                batch.push(f);
             }
             spins += 1;
             assert!(spins < 10_000, "writer failed to make progress");
         }
-        assert_eq!(w.out, sequential);
+        assert_eq!(w.out, sequential_wire(&frames));
+        assert_eq!(done, frames.len());
     }
 
     #[test]
@@ -1215,14 +1317,30 @@ mod tests {
             Frame::control(0x22, 3, 4),
         ];
         let mut out = Vec::new();
-        let mut cursor = 0usize;
-        let p = write_frames_nonblocking(&mut out, &frames, &mut cursor).unwrap();
+        let mut batch = WriteBatch::new();
+        for f in &frames {
+            batch.push(f.clone());
+        }
+        let mut done = Vec::new();
+        let p = batch.flush(&mut out, |f| done.push(f)).unwrap();
         assert_eq!(p.frames_done, 2);
         assert!(!p.blocked);
-        assert_eq!(cursor, 0);
+        assert!(batch.is_empty());
         assert_eq!(p.bytes, out.len());
+        assert_eq!(done, frames);
         let mut r = Cursor::new(out);
         assert_eq!(read_frame(&mut r).unwrap(), frames[0]);
         assert_eq!(read_frame(&mut r).unwrap(), frames[1]);
+        // An empty batch flushes to nothing without touching the writer.
+        let p = batch
+            .flush(
+                &mut Choked {
+                    out: Vec::new(),
+                    open: false,
+                },
+                |_| {},
+            )
+            .unwrap();
+        assert_eq!((p.frames_done, p.bytes, p.blocked), (0, 0, false));
     }
 }

@@ -21,6 +21,8 @@
 //!   on the wire (PBIO record streams ride inside frame bodies), with a
 //!   CRC-32 header checksum so in-flight corruption is detected rather
 //!   than decoded,
+//! * [`crc`] — that checksum: CRC-32 by carry-less-multiply folding where
+//!   the CPU has it, slice-by-16 tables elsewhere,
 //! * [`fault`] — seeded, deterministic fault injection
 //!   ([`fault::FaultyStream`]) for exercising the serv layer's recovery
 //!   paths from tests, benches, and the daemon's `--faults` mode,
@@ -44,6 +46,7 @@
 pub mod affinity;
 pub mod buf;
 pub mod clock;
+pub mod crc;
 pub mod dial;
 pub mod exchange;
 pub mod fault;

@@ -31,9 +31,12 @@
 //! drains every readable socket, dispatches the decoded frames through
 //! the same protocol machine a dedicated thread used to run, and then
 //! flushes every connection with queued output via batched vectored
-//! writes ([`write_frames_nonblocking`]), keeping per-connection
-//! partial-write cursors so a full socket buffer suspends — never
-//! blocks — the shard. Cross-thread work (new connections, "this
+//! writes. Each connection stages the frames it is writing in a
+//! [`WriteBatch`], which checksums a frame once — as it is staged, on
+//! this thread, after it left the outbound queue — and keeps the header
+//! bytes and the partial-write offset, so a full socket buffer suspends
+//! — never blocks — the shard and resuming costs no second pass over a
+//! body. Cross-thread work (new connections, "this
 //! connection has frames queued" nudges from publishers on other shards)
 //! arrives over a lock-free channel paired with a [`Waker`], so the
 //! daemon's thread count is O(shards), not O(connections): 10k idle
@@ -65,8 +68,7 @@ use pbio_chan::wire::deserialize_predicate;
 use pbio_net::buf::WireBuf;
 use pbio_net::fault::{FaultLog, FaultPlan, MaybeFaulty};
 use pbio_net::frame::{
-    write_frames_nonblocking, Frame, FrameDecoder, FrameError, FrameHeader, FRAME_HEADER_SIZE,
-    MAX_WRITE_BATCH,
+    Frame, FrameDecoder, FrameError, FrameHeader, WriteBatch, FRAME_HEADER_SIZE, MAX_WRITE_BATCH,
 };
 use pbio_net::poll::{poller, source_of, Event as PollEvent, Interest, Poller, RawSource, Waker};
 use pbio_obs::export::{
@@ -388,7 +390,7 @@ struct ShardMetrics {
     /// Readiness events reported per wakeup (ready-queue depth).
     ready_depth: Arc<Histogram>,
     /// Flush passes that hit `WouldBlock` mid-batch and parked a
-    /// partial-write cursor for resumption.
+    /// partly written [`WriteBatch`] for resumption.
     writev_partials: Arc<Counter>,
     /// Connections currently owned by this shard (topology gauge).
     conns: Arc<Gauge>,
@@ -2375,13 +2377,16 @@ struct ConnState {
     phase: Phase,
     /// Live subscriptions this session registered via `K_SUBSCRIBE`.
     subscriptions: Vec<(u32, SubscriptionId)>,
-    /// Frames popped from the outbound queue but not yet fully written
-    /// (with their parallel trace contexts): `cursor` bytes of
-    /// `pending[0]` are already on the wire — the partial-write
-    /// resumption state a blocking writer never needed.
-    pending: Vec<Frame>,
+    /// Frames popped from the outbound queue but not yet fully written,
+    /// with their encoded headers and the partial-write offset — the
+    /// resumption state a blocking writer never needed — and, in
+    /// parallel, the trace context each one carries.
+    batch: WriteBatch,
     pending_traces: Vec<Option<TraceCtx>>,
-    cursor: usize,
+    /// Frames in transit within one flush pass: popped from the queue on
+    /// their way into `batch`, then those the write completed, on their
+    /// way to trace/tap/counter accounting. Empty between passes.
+    scratch: Vec<Frame>,
     /// The last flush hit `WouldBlock` and wants writable-readiness.
     wants_write: bool,
     /// Whether writable interest is currently armed with the poller.
@@ -2407,9 +2412,9 @@ impl ConnState {
             decoder: FrameDecoder::new(),
             phase: Phase::AwaitHello,
             subscriptions: Vec::new(),
-            pending: Vec::new(),
+            batch: WriteBatch::new(),
             pending_traces: Vec::new(),
-            cursor: 0,
+            scratch: Vec::new(),
             wants_write: false,
             armed_write: false,
             counted_active: false,
@@ -2689,11 +2694,10 @@ fn handle_readable(state: &Arc<State>, cs: &mut ConnState) -> u64 {
 /// and the caller should tear it down.
 fn flush_conn(state: &Arc<State>, sm: &ShardMetrics, cs: &mut ConnState) -> bool {
     loop {
-        if cs.pending.is_empty() {
-            cs.cursor = 0;
+        if cs.batch.is_empty() {
             cs.pending_traces.clear();
             match cs.conn.outbound.try_pop_batch(
-                &mut cs.pending,
+                &mut cs.scratch,
                 &mut cs.pending_traces,
                 MAX_WRITE_BATCH,
             ) {
@@ -2704,7 +2708,13 @@ fn flush_conn(state: &Arc<State>, sm: &ShardMetrics, cs: &mut ConnState) -> bool
         }
         let progress = {
             let _send_span = Span::enter(&state.metrics.send_ns);
-            write_frames_nonblocking(&mut cs.wr, &cs.pending, &mut cs.cursor)
+            // The one checksum pass this hop makes over each frame: the
+            // queue mutex is released and drop-oldest can no longer
+            // discard what was popped.
+            for frame in cs.scratch.drain(..) {
+                cs.batch.push(frame);
+            }
+            cs.batch.flush(&mut cs.wr, |frame| cs.scratch.push(frame))
         };
         let p = match progress {
             Ok(p) => p,
@@ -2712,7 +2722,7 @@ fn flush_conn(state: &Arc<State>, sm: &ShardMetrics, cs: &mut ConnState) -> bool
             Err(_) => return false,
         };
         if p.frames_done > 0 {
-            let done = &cs.pending[..p.frames_done];
+            let done = &cs.scratch[..];
             let done_traces = &cs.pending_traces[..p.frames_done];
             // Traced events get their flush hop stamped once the
             // vectored write has actually handed them to the kernel.
@@ -2778,7 +2788,7 @@ fn flush_conn(state: &Arc<State>, sm: &ShardMetrics, cs: &mut ConnState) -> bool
                     .frames_batched
                     .fetch_add(n, Ordering::Relaxed);
             }
-            cs.pending.drain(..p.frames_done);
+            cs.scratch.clear();
             cs.pending_traces.drain(..p.frames_done);
         }
         if p.bytes > 0 {
@@ -2791,8 +2801,8 @@ fn flush_conn(state: &Arc<State>, sm: &ShardMetrics, cs: &mut ConnState) -> bool
             cs.conn.counters.writes.fetch_add(1, Ordering::Relaxed);
         }
         if p.blocked {
-            // Socket buffer full: park the cursor, arm writable
-            // interest, resume on the next readiness event.
+            // Socket buffer full: the batch keeps its place; arm
+            // writable interest, resume on the next readiness event.
             sm.writev_partials.inc();
             cs.wants_write = true;
             return true;
@@ -2812,7 +2822,7 @@ fn flush_and_rearm(
 ) -> bool {
     if cs.closing {
         // No new frames will be accepted; once the queue and the
-        // partial-write cursor drain, the flush reports `Done` and the
+        // partly written batch drain, the flush reports `Done` and the
         // connection is torn down.
         cs.conn.outbound.close();
     }

@@ -52,7 +52,7 @@ use std::time::{Duration, Instant};
 
 use pbio_net::buf::WireBuf;
 use pbio_net::dial::backoff_delay;
-use pbio_net::frame::{read_frame, write_frame, write_frames_nonblocking, Frame, FrameHeader};
+use pbio_net::frame::{read_frame, write_frame, Frame, FrameHeader, WriteBatch};
 use pbio_obs::{epoch_ns, TraceCtx, TRACE_TRAILER_LEN};
 use pbio_types::arch::ArchProfile;
 
@@ -383,7 +383,9 @@ struct Session {
     stream: TcpStream,
     dec: pbio_net::frame::FrameDecoder,
     outq: VecDeque<Frame>,
-    cursor: usize,
+    /// The head of `outq` in the act of being written: headers encoded,
+    /// partial-write offset kept.
+    batch: WriteBatch,
     /// channel name → peer channel id.
     chan_peer: HashMap<Arc<str>, u32>,
     /// in-flight channel-open token → name.
@@ -458,7 +460,7 @@ fn link_loop(ctx: LinkCtx) {
             stream,
             dec: pbio_net::frame::FrameDecoder::new(),
             outq: VecDeque::new(),
-            cursor: 0,
+            batch: WriteBatch::new(),
             chan_peer: HashMap::new(),
             chan_tokens: HashMap::new(),
             chan_requested: HashSet::new(),
@@ -682,20 +684,24 @@ fn run_session(
             s.last_ping = Instant::now();
         }
         // 5. Writes: flush as much of the queue as the socket takes.
-        if !s.outq.is_empty() {
-            s.outq.make_contiguous();
-            let (frames, _) = s.outq.as_slices();
-            match write_frames_nonblocking(&mut s.stream, frames, &mut s.cursor) {
-                Ok(progress) => {
-                    for _ in 0..progress.frames_done {
-                        s.outq.pop_front();
-                    }
-                }
+        loop {
+            while !s.batch.is_full() {
+                let Some(frame) = s.outq.pop_front() else {
+                    break;
+                };
+                s.batch.push(frame);
+            }
+            if s.batch.is_empty() {
+                break;
+            }
+            match s.batch.flush(&mut s.stream, drop) {
+                Ok(progress) if progress.blocked => break,
+                Ok(_) => {}
                 Err(_) => return true,
             }
         }
         // 6. Sleep only when fully idle; any arriving mail wakes us.
-        if s.outq.is_empty() && pending.is_empty() {
+        if s.outq.is_empty() && s.batch.is_empty() && pending.is_empty() {
             match ctx.rx.recv_timeout(TICK) {
                 Ok(msg) => {
                     handle_msg(ctx, s, subs, pending, msg);

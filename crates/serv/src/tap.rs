@@ -43,8 +43,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use pbio_net::frame::{
-    crc32_finish, crc32_update, read_frame, write_frame, Frame, FrameError, CRC_INIT,
-    FRAME_HEADER_SIZE, MAX_FRAME_BODY,
+    encode_header, read_frame, write_frame, Frame, FrameError, FrameHeader, FRAME_HEADER_SIZE,
 };
 use pbio_net::WireBuf;
 use pbio_store::{ReplayItem, Store, StoreConfig};
@@ -177,14 +176,7 @@ impl TapEntry {
         out.extend_from_slice(&self.t_ns.to_be_bytes());
         out.extend_from_slice(&self.conn.to_be_bytes());
         let body = self.body.as_slice();
-        let mut h = [0u8; FRAME_HEADER_SIZE];
-        h[0] = self.kind;
-        h[1..5].copy_from_slice(&self.a.to_be_bytes());
-        h[5..9].copy_from_slice(&self.b.to_be_bytes());
-        h[9..13].copy_from_slice(&(body.len() as u32).to_be_bytes());
-        let crc = crc32_finish(crc32_update(crc32_update(CRC_INIT, &h[..13]), body));
-        h[13..17].copy_from_slice(&crc.to_be_bytes());
-        out.extend_from_slice(&h);
+        out.extend_from_slice(&encode_header(self.kind, self.a, self.b, body));
         out.extend_from_slice(body);
     }
 }
@@ -344,36 +336,26 @@ pub fn decode_capture_record(payload: &[u8]) -> Result<CapturedFrame, String> {
     }
     let t_ns = u64::from_be_bytes(payload[1..9].try_into().unwrap());
     let conn = u32::from_be_bytes(payload[9..13].try_into().unwrap());
-    let h = &payload[CAPTURE_PREFIX..CAPTURE_PREFIX + FRAME_HEADER_SIZE];
-    let kind = h[0];
-    let a = u32::from_be_bytes(h[1..5].try_into().unwrap());
-    let b = u32::from_be_bytes(h[5..9].try_into().unwrap());
-    let len = u32::from_be_bytes(h[9..13].try_into().unwrap()) as usize;
-    let crc = u32::from_be_bytes(h[13..17].try_into().unwrap());
-    if len > MAX_FRAME_BODY {
-        return Err(format!("captured frame announces {len}-byte body"));
-    }
-    let body = &payload[CAPTURE_PREFIX + FRAME_HEADER_SIZE..];
-    if body.len() != len {
+    let (h, body) = payload[CAPTURE_PREFIX..]
+        .split_first_chunk::<FRAME_HEADER_SIZE>()
+        .expect("length checked above");
+    let header = FrameHeader::parse(h).map_err(|e| format!("captured {e}"))?;
+    if body.len() != header.len {
         return Err(format!(
-            "captured frame announces {len} body bytes but the record holds {}",
+            "captured frame announces {} body bytes but the record holds {}",
+            header.len,
             body.len()
         ));
     }
-    let actual = crc32_finish(crc32_update(crc32_update(CRC_INIT, &h[..13]), body));
-    if actual != crc {
-        return Err(format!(
-            "captured frame fails its checksum (announced {crc:#010x}, computed {actual:#010x})"
-        ));
-    }
+    header.verify(body).map_err(|e| format!("captured {e}"))?;
     Ok(CapturedFrame {
         t_ns,
         conn,
         dir,
         frame: Frame {
-            kind,
-            a,
-            b,
+            kind: header.kind,
+            a: header.a,
+            b: header.b,
             body: WireBuf::copy_from(body),
         },
     })
