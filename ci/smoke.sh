@@ -15,7 +15,9 @@
 #               trailer-negotiation interop
 #   ledger      the benchmark itself, built against the crates it
 #               measures: `ledger run --smoke` (every workload, untraced
-#               and traced, tiny counts) and the ledger's own unit tests
+#               and traced, tiny counts), the ledger's own unit tests,
+#               and `ledger diff` over every committed results/pr-*/
+#               parent/change pair (fails on any `worse`)
 #   all         everything above, serially
 #
 # Every command's stdout is scanned for the one-line schema-bearing JSON
@@ -84,6 +86,14 @@ suite_ledger() {
   # in a measured crate breaks the benchmark unnoticed.
   run ledger-smoke cargo run --release --quiet --offline --manifest-path ledger/Cargo.toml -- run --smoke
   run ledger-tests cargo test --offline --manifest-path ledger/Cargo.toml
+  # Every committed parent/change pair must still read no `worse`
+  # (`ledger diff` exits 1 on one).
+  local pair
+  for pair in results/pr-*; do
+    [ -f "$pair/parent.json" ] && [ -f "$pair/change.json" ] || continue
+    run "ledger-diff-$(basename "$pair")" cargo run --release --quiet --offline \
+      --manifest-path ledger/Cargo.toml -- diff "$pair/parent.json" "$pair/change.json"
+  done
 }
 
 case "$SUITE" in

@@ -293,7 +293,7 @@ fn print_table(snapshots: &Snapshots) {
         };
         if writes > 0 {
             println!(
-                "  realized batching factor    {:.2} frames/write",
+                "  realized batching factor    {:.2} events/writev",
                 events as f64 / writes as f64
             );
         }

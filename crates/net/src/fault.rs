@@ -23,7 +23,7 @@
 //! keeps running at full fidelity after its faults have fired.
 
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -329,6 +329,9 @@ pub struct FaultyStream<S> {
     /// Scratch for write-side corruption (a corrupted write goes out of a
     /// modified copy; reused so steady state allocates nothing).
     scratch: Vec<u8>,
+    /// The slices of one `write_vectored` call, joined so they pass
+    /// through the planned [`write`](Write::write) as one write.
+    joined: Vec<u8>,
 }
 
 impl<S> FaultyStream<S> {
@@ -340,6 +343,7 @@ impl<S> FaultyStream<S> {
             write: DirState::new(plan.write),
             log,
             scratch: Vec::new(),
+            joined: Vec::new(),
         }
     }
 
@@ -525,6 +529,21 @@ impl<S: Write> Write for FaultyStream<S> {
         Ok(n)
     }
 
+    /// Joins the slices and sends them through the planned
+    /// [`write`](Self::write): faults fire at the same byte offsets as
+    /// for one `write` of those bytes, and a fault-injected connection
+    /// issues the same multi-frame writes as a plain one.
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        let mut joined = std::mem::take(&mut self.joined);
+        joined.clear();
+        for b in bufs {
+            joined.extend_from_slice(b);
+        }
+        let r = self.write(&joined);
+        self.joined = joined;
+        r
+    }
+
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
     }
@@ -533,6 +552,10 @@ impl<S: Write> Write for FaultyStream<S> {
 /// A transport that is either transparent or fault-injected, decided at
 /// connection setup: the daemon compiles fault injection in permanently
 /// and pays one enum discriminant test per I/O call when it is off.
+///
+/// Every `Write` method is forwarded, `write_vectored` included: std's
+/// default sends only the first slice, which would split each batched
+/// `writev` into one syscall per header and per body.
 pub enum MaybeFaulty<S> {
     /// Pass-through (production path).
     Plain(S),
@@ -575,6 +598,13 @@ impl<S: Write> Write for MaybeFaulty<S> {
         }
     }
 
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self {
+            MaybeFaulty::Plain(s) => s.write_vectored(bufs),
+            MaybeFaulty::Faulty(f) => f.write_vectored(bufs),
+        }
+    }
+
     fn flush(&mut self) -> io::Result<()> {
         match self {
             MaybeFaulty::Plain(s) => s.flush(),
@@ -586,6 +616,7 @@ impl<S: Write> Write for MaybeFaulty<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{write_frame, Frame, WriteBatch, MAX_WRITE_BATCH};
     use std::io::Cursor;
 
     fn drain(r: &mut impl Read) -> (Vec<u8>, Option<io::Error>) {
@@ -727,6 +758,97 @@ mod tests {
         // and the corruption landed at byte 5.
         assert_eq!(s.get_ref().out, [0, 0, 0, 0, 0, 0x80, 0, 0, 0, 0]);
         assert_eq!(log.direction(true).len(), 2);
+    }
+
+    /// Accepts everything, recording the shape of each call.
+    #[derive(Default)]
+    struct Recorder {
+        out: Vec<u8>,
+        /// Plain `write` calls.
+        writes: usize,
+        /// Slice count of each `write_vectored` call.
+        vectored: Vec<usize>,
+    }
+    impl Write for Recorder {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.out.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.vectored.push(bufs.len());
+            let before = self.out.len();
+            for b in bufs {
+                self.out.extend_from_slice(b);
+            }
+            Ok(self.out.len() - before)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A full batch of frames that each have a body (two slices apiece),
+    /// and the bytes sequential `write_frame` calls would send.
+    fn full_batch() -> (WriteBatch, Vec<u8>) {
+        let mut batch = WriteBatch::new();
+        let mut wire = Vec::new();
+        for i in 0..MAX_WRITE_BATCH as u32 {
+            let f = Frame::with_body(0x31, i, 0, vec![i as u8; 1 + i as usize]);
+            write_frame(&mut wire, &f).unwrap();
+            batch.push(f);
+        }
+        (batch, wire)
+    }
+
+    #[test]
+    fn plain_forwards_a_batch_as_one_write_vectored() {
+        let (mut batch, wire) = full_batch();
+        let mut w = MaybeFaulty::new(Recorder::default(), None, FaultLog::new());
+        let p = batch.flush(&mut w, |_| {}).unwrap();
+        assert_eq!((p.frames_done, p.writes), (MAX_WRITE_BATCH, 1));
+        let r = w.get_ref();
+        assert_eq!(r.vectored, [2 * MAX_WRITE_BATCH], "one call, every slice");
+        assert_eq!(r.writes, 0);
+        assert_eq!(r.out, wire);
+    }
+
+    #[test]
+    fn faulty_with_an_empty_plan_sends_a_batch_as_one_write() {
+        let (mut batch, wire) = full_batch();
+        let mut w = MaybeFaulty::new(Recorder::default(), Some(FaultPlan::new()), FaultLog::new());
+        let p = batch.flush(&mut w, |_| {}).unwrap();
+        assert_eq!((p.frames_done, p.writes), (MAX_WRITE_BATCH, 1));
+        let r = w.get_ref();
+        assert_eq!((r.writes, r.vectored.len()), (1, 0), "one inner write");
+        assert_eq!(r.out, wire);
+    }
+
+    #[test]
+    fn vectored_writes_fire_faults_at_the_offsets_plain_writes_do() {
+        let plan = FaultPlan::new()
+            .partial_write(20, 3)
+            .corrupt_write(50, 0x80)
+            .corrupt_write(200, 0x01);
+        let (mut batch, wire) = full_batch();
+        let log = FaultLog::new();
+        let mut vectored = FaultyStream::new(Vec::new(), plan.clone(), log.clone());
+        while !batch.is_empty() {
+            batch.flush(&mut vectored, |_| {}).unwrap();
+        }
+        let plain_log = FaultLog::new();
+        let mut plain = FaultyStream::new(Vec::new(), plan, plain_log.clone());
+        let mut written = 0;
+        while written < wire.len() {
+            written += plain.write(&wire[written..]).unwrap();
+        }
+        let mut want = wire;
+        want[50] ^= 0x80;
+        want[200] ^= 0x01;
+        assert_eq!(vectored.get_ref(), &want);
+        assert_eq!(plain.get_ref(), &want);
+        assert_eq!(log.direction(true), plain_log.direction(true));
+        assert_eq!(log.direction(true).len(), 3);
     }
 
     #[test]

@@ -646,6 +646,9 @@ pub struct FlushProgress {
     pub frames_done: usize,
     /// Bytes written by this call (partial frames included).
     pub bytes: usize,
+    /// Successful `write_vectored` calls this flush made — on a socket,
+    /// `writev` syscalls.
+    pub writes: usize,
     /// The socket refused further bytes (`WouldBlock`): the caller should
     /// arm writable interest and resume on the next wakeup.
     pub blocked: bool,
@@ -719,6 +722,7 @@ impl WriteBatch {
         let mut progress = FlushProgress {
             frames_done: 0,
             bytes: 0,
+            writes: 0,
             blocked: false,
         };
         while !self.staged.is_empty() {
@@ -754,6 +758,7 @@ impl WriteBatch {
                 Err(e) => return Err(e),
             };
             progress.bytes += written;
+            progress.writes += 1;
             m.writes.inc();
             m.bytes_out.add(written as u64);
             // Attribute the written bytes to frames: those fully covered
@@ -832,7 +837,10 @@ mod tests {
 
     #[test]
     fn write_vectored_partial_writes_are_completed() {
-        /// Writes at most 5 bytes of the first buffer per call.
+        /// Writes at most 5 bytes of the first buffer per call: it
+        /// implements only `write`, so std's default `write_vectored`
+        /// hands it the first non-empty slice alone — the shape
+        /// `write_all_vectored` must degrade to.
         struct Trickle(Vec<u8>);
         impl Write for Trickle {
             fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
@@ -1206,27 +1214,41 @@ mod tests {
         assert_eq!((h.kind, h.a, h.b), (0x22, 7, 8));
     }
 
-    /// Accepts at most 5 bytes per write and interleaves WouldBlock
-    /// between every acceptance — a congested nonblocking socket.
+    /// Accepts at most `budget` bytes per call, spread across the slices
+    /// as a socket's `writev` does, and interleaves WouldBlock between
+    /// every acceptance — a congested nonblocking socket. One call can
+    /// finish several frames and stop inside the next one.
     struct Choked {
         out: Vec<u8>,
         open: bool,
+        budget: usize,
     }
     impl Write for Choked {
         fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
             if !self.open {
                 self.open = true;
                 return Err(io::Error::new(io::ErrorKind::WouldBlock, "full"));
             }
             self.open = false;
-            let n = buf.len().min(5);
-            self.out.extend_from_slice(&buf[..n]);
-            Ok(n)
+            let mut left = self.budget;
+            for b in bufs {
+                let n = b.len().min(left);
+                self.out.extend_from_slice(&b[..n]);
+                left -= n;
+            }
+            Ok(self.budget - left)
         }
         fn flush(&mut self) -> io::Result<()> {
             Ok(())
         }
     }
+
+    /// Per-call budgets for [`Choked`]: inside one header, a few frames
+    /// per call, and a whole batch per call.
+    const BUDGETS: [usize; 3] = [5, 40, 4096];
 
     /// Mixed control/body frames, more than one batch's worth.
     fn mixed_frames() -> Vec<Frame> {
@@ -1252,62 +1274,71 @@ mod tests {
     #[test]
     fn nonblocking_writes_resume_byte_identically_through_wouldblock() {
         let frames = mixed_frames();
-        let mut w = Choked {
-            out: Vec::new(),
-            open: false,
-        };
-        let mut queue: VecDeque<Frame> = frames.iter().cloned().collect();
-        let mut batch = WriteBatch::new();
-        let mut done = Vec::new();
-        let mut spins = 0;
-        while !(queue.is_empty() && batch.is_empty()) {
-            // Refill only once drained, as the daemon's flush does.
-            if batch.is_empty() {
-                while !batch.is_full() {
-                    let Some(f) = queue.pop_front() else { break };
-                    batch.push(f);
+        for budget in BUDGETS {
+            let mut w = Choked {
+                out: Vec::new(),
+                open: false,
+                budget,
+            };
+            let mut queue: VecDeque<Frame> = frames.iter().cloned().collect();
+            let mut batch = WriteBatch::new();
+            let mut done = Vec::new();
+            let mut spins = 0;
+            while !(queue.is_empty() && batch.is_empty()) {
+                // Refill only once drained, as the daemon's flush does.
+                if batch.is_empty() {
+                    while !batch.is_full() {
+                        let Some(f) = queue.pop_front() else { break };
+                        batch.push(f);
+                    }
                 }
+                let before = done.len();
+                let p = batch.flush(&mut w, |f| done.push(f)).unwrap();
+                assert_eq!(p.frames_done, done.len() - before);
+                // Choked accepts at most one call between refusals.
+                assert_eq!(p.writes, usize::from(p.bytes > 0), "budget {budget}");
+                assert!(p.blocked || batch.is_empty());
+                spins += 1;
+                assert!(spins < 10_000, "writer failed to make progress");
             }
-            let before = done.len();
-            let p = batch.flush(&mut w, |f| done.push(f)).unwrap();
-            assert_eq!(p.frames_done, done.len() - before);
-            assert!(p.blocked || batch.is_empty());
-            spins += 1;
-            assert!(spins < 10_000, "writer failed to make progress");
+            assert_eq!(w.out, sequential_wire(&frames), "budget {budget}");
+            assert_eq!(done, frames, "every frame reported done, in order");
         }
-        assert_eq!(w.out, sequential_wire(&frames));
-        assert_eq!(done, frames, "every frame reported done, in order");
     }
 
     #[test]
     fn nonblocking_batch_accepts_pushes_while_the_front_frame_is_mid_body() {
         let frames = mixed_frames();
-        let mut w = Choked {
-            out: Vec::new(),
-            open: true,
-        };
-        let mut queue: VecDeque<Frame> = frames.iter().cloned().collect();
-        let mut batch = WriteBatch::new();
-        // A front frame with a body long enough that 5 bytes a flush
-        // leaves it in the header, then in the body, for many rounds.
-        batch.push(queue.pop_front().unwrap());
-        batch.push(queue.pop_front().unwrap());
-        let mut done = 0;
-        let mut spins = 0;
-        while !(queue.is_empty() && batch.is_empty()) {
-            // Top the batch up after *every* flush — the mesh link's
-            // shape — so pushes land at every resume offset.
-            let p = batch.flush(&mut w, |_| done += 1).unwrap();
-            assert!(p.bytes <= 5);
-            while !batch.is_full() {
-                let Some(f) = queue.pop_front() else { break };
-                batch.push(f);
+        for budget in BUDGETS {
+            let mut w = Choked {
+                out: Vec::new(),
+                open: true,
+                budget,
+            };
+            let mut queue: VecDeque<Frame> = frames.iter().cloned().collect();
+            let mut batch = WriteBatch::new();
+            // At 5 bytes a call the front frame sits in its header, then in
+            // its body, for many rounds; larger budgets finish several
+            // frames a call and stop inside the next.
+            batch.push(queue.pop_front().unwrap());
+            batch.push(queue.pop_front().unwrap());
+            let mut done = 0;
+            let mut spins = 0;
+            while !(queue.is_empty() && batch.is_empty()) {
+                // Top the batch up after *every* flush — the mesh link's
+                // shape — so pushes land at every resume offset.
+                let p = batch.flush(&mut w, |_| done += 1).unwrap();
+                assert!(p.bytes <= budget);
+                while !batch.is_full() {
+                    let Some(f) = queue.pop_front() else { break };
+                    batch.push(f);
+                }
+                spins += 1;
+                assert!(spins < 10_000, "writer failed to make progress");
             }
-            spins += 1;
-            assert!(spins < 10_000, "writer failed to make progress");
+            assert_eq!(w.out, sequential_wire(&frames), "budget {budget}");
+            assert_eq!(done, frames.len());
         }
-        assert_eq!(w.out, sequential_wire(&frames));
-        assert_eq!(done, frames.len());
     }
 
     #[test]
@@ -1324,6 +1355,7 @@ mod tests {
         let mut done = Vec::new();
         let p = batch.flush(&mut out, |f| done.push(f)).unwrap();
         assert_eq!(p.frames_done, 2);
+        assert_eq!(p.writes, 1, "Vec takes every slice in one call");
         assert!(!p.blocked);
         assert!(batch.is_empty());
         assert_eq!(p.bytes, out.len());
@@ -1337,10 +1369,14 @@ mod tests {
                 &mut Choked {
                     out: Vec::new(),
                     open: false,
+                    budget: 5,
                 },
                 |_| {},
             )
             .unwrap();
-        assert_eq!((p.frames_done, p.bytes, p.blocked), (0, 0, false));
+        assert_eq!(
+            (p.frames_done, p.bytes, p.writes, p.blocked),
+            (0, 0, 0, false)
+        );
     }
 }

@@ -259,8 +259,9 @@ pub struct ServStats {
     pub bytes_out: u64,
     /// Frames written as part of a coalesced batch of ≥ 2 frames.
     pub frames_batched: u64,
-    /// Flush passes issued by reactor shards (each covers a whole
-    /// batch; `bytes_out / writes` is the realized batching factor).
+    /// `writev` syscalls the reactor shards' flushes made (each carries
+    /// up to a whole batch; `events_out / writes` is the realized
+    /// batching factor, frames per syscall).
     pub writes: u64,
     /// Receive-scratch requests served from the buffer pool.
     pub pool_hits: u64,
@@ -712,7 +713,7 @@ pub struct ConnStats {
     pub frames_sent: u64,
     /// Frames that went out as part of a coalesced batch of ≥ 2.
     pub frames_batched: u64,
-    /// Vectored writes issued for this connection.
+    /// `writev` syscalls that wrote to this connection.
     pub writes: u64,
 }
 
@@ -2793,12 +2794,15 @@ fn flush_conn(state: &Arc<State>, sm: &ShardMetrics, cs: &mut ConnState) -> bool
         }
         if p.bytes > 0 {
             state.metrics.bytes_out.add(p.bytes as u64);
-            state.metrics.writes.inc();
+            state.metrics.writes.add(p.writes as u64);
             cs.conn
                 .counters
                 .bytes_sent
                 .fetch_add(p.bytes as u64, Ordering::Relaxed);
-            cs.conn.counters.writes.fetch_add(1, Ordering::Relaxed);
+            cs.conn
+                .counters
+                .writes
+                .fetch_add(p.writes as u64, Ordering::Relaxed);
         }
         if p.blocked {
             // Socket buffer full: the batch keeps its place; arm

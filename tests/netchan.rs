@@ -408,6 +408,14 @@ fn drop_oldest_accounting_is_exact_across_many_slow_subscribers() {
         "per-connection frame counts ({conn_frames}) must cover all \
          delivered events ({received_total})"
     );
+    // `writes` counts writev syscalls. 400 small events never fill a
+    // loopback socket buffer, so every writev carries at least one whole
+    // frame; a header and its body sent as two writes would break this.
+    let conn_writes: u64 = daemon.conn_stats().iter().map(|c| c.writes).sum();
+    assert!(
+        conn_writes <= conn_frames,
+        "{conn_writes} writev calls for {conn_frames} frames"
+    );
 
     publisher.disconnect().unwrap();
     for s in subs {
