@@ -24,11 +24,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use pbio_bench::cli::{json_escape, json_object, require, CommonArgs};
-use pbio_obs::TRACE_TRAILER_LEN;
-use pbio_serv::protocol::{
-    kind_name, K_EVENT, K_HELLO, K_HELLO_ACK, K_PUBLISH, OFFSET_FLAG, OFFSET_TRAILER_LEN,
-    TRACE_FLAG,
-};
+use pbio_serv::protocol::{kind_name, split_event, K_EVENT, K_HELLO, K_HELLO_ACK, K_PUBLISH};
 use pbio_serv::tap::{
     capture_connections, capture_layouts, read_capture, CaptureFile, CapturedFrame, TAP_IN,
 };
@@ -92,22 +88,18 @@ fn main() -> ExitCode {
 }
 
 /// Decode one event/publish body through the capture's own layouts,
-/// stripping the offset and trace trailers the flag bits announce.
+/// past the trailers its flag bits announce.
 fn decode_record(
     layouts: &HashMap<u32, Layout>,
     b: u32,
     body: &[u8],
 ) -> Option<Result<RecordValue, String>> {
-    let mut end = body.len();
-    if b & OFFSET_FLAG != 0 {
-        end = end.checked_sub(OFFSET_TRAILER_LEN)?;
-    }
-    if b & TRACE_FLAG != 0 {
-        end = end.checked_sub(TRACE_TRAILER_LEN)?;
-    }
-    let format = b & !(OFFSET_FLAG | TRACE_FLAG);
-    let layout = layouts.get(&format)?;
-    Some(decode_native(&body[..end], layout).map_err(|e| e.to_string()))
+    let ev = match split_event(b, body) {
+        Ok(ev) => ev,
+        Err(e) => return Some(Err(e.to_string())),
+    };
+    let layout = layouts.get(&ev.format)?;
+    Some(decode_native(ev.payload, layout).map_err(|e| e.to_string()))
 }
 
 /// Render the capture at frame level and record level.

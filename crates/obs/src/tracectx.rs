@@ -115,6 +115,20 @@ impl TraceCtx {
             flags,
         })
     }
+
+    /// The record of this event reaching stage `hop` at `t_ns` (daemon
+    /// timebase), timed from its publish origin.
+    pub fn hop(&self, hop: u32, conn: u32, channel: u32, t_ns: u64) -> TraceHop {
+        TraceHop {
+            trace_id: self.trace_id,
+            span_id: self.span_id,
+            hop,
+            conn,
+            channel,
+            t_ns,
+            dur_ns: t_ns.saturating_sub(self.origin_ns),
+        }
+    }
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -313,6 +327,21 @@ mod tests {
         assert_ne!(a.trace_id, b.trace_id);
         assert!(a.sampled());
         assert_eq!(a.origin_ns, 10);
+    }
+
+    #[test]
+    fn hop_is_timed_from_the_origin() {
+        let ctx = TraceSampler::new(1).next_ctx(100);
+        let hop = ctx.hop(HOP_FLUSH, 3, 4, 350);
+        assert_eq!(
+            (hop.trace_id, hop.span_id, hop.hop, hop.conn, hop.channel),
+            (ctx.trace_id, ctx.span_id, HOP_FLUSH, 3, 4)
+        );
+        assert_eq!((hop.t_ns, hop.dur_ns), (350, 250));
+        assert_eq!(ctx.hop(HOP_PUBLISH, 3, 4, 100).dur_ns, 0);
+        // A stamp behind the origin (clock correction residue) is 0, not
+        // a wrapped huge duration.
+        assert_eq!(ctx.hop(HOP_DECODE, 3, 4, 90).dur_ns, 0);
     }
 
     #[test]

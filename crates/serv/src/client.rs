@@ -44,7 +44,7 @@ use pbio_obs::export::{
 };
 use pbio_obs::{
     epoch_ns, Counter, Histogram, Registry, Snapshot, Span, TraceCtx, TraceHop, TraceSampler,
-    TraceSink, HOP_DECODE, TRACE_TRAILER_LEN,
+    TraceSink, HOP_DECODE,
 };
 use pbio_types::arch::ArchProfile;
 use pbio_types::layout::Layout;
@@ -914,11 +914,13 @@ impl ServClient {
         let wire_chan = self.chan_to_wire.get(&channel).copied().unwrap_or(channel);
         let wire_fmt = self.fmt_to_wire.get(&format).copied().unwrap_or(format);
         if self.caps & CAP_TRACE != 0 && self.sampler.try_sample() {
-            let ctx = self.sampler.next_ctx(self.clock.to_peer(epoch_ns()));
-            let mut buf = self.pool.get(native.len() + TRACE_TRAILER_LEN);
-            buf.extend_from_slice(native);
-            buf.extend_from_slice(&ctx.encode());
-            return self.send_raw(K_PUBLISH, wire_chan, wire_fmt | TRACE_FLAG, &buf);
+            let trailers = Trailers {
+                trace: Some(self.sampler.next_ctx(self.clock.to_peer(epoch_ns()))),
+                offset: None,
+            };
+            let mut buf = self.pool.get(native.len() + trailers.wire_len());
+            let b = trailers.append(&mut buf, wire_fmt, native);
+            return self.send_raw(K_PUBLISH, wire_chan, b, &buf);
         }
         self.send_raw(K_PUBLISH, wire_chan, wire_fmt, native)
     }
@@ -966,7 +968,7 @@ impl ServClient {
     pub fn poll(&mut self, timeout: Duration) -> Result<Option<Event<'_>>, ServError> {
         let deadline = Instant::now() + timeout;
         loop {
-            let Some((kind, a, b, mut body)) = self.next_frame(deadline)? else {
+            let Some((kind, a, b, body)) = self.next_frame(deadline)? else {
                 return Ok(None);
             };
             match kind {
@@ -975,34 +977,20 @@ impl ServClient {
                     self.reader.on_format(a, &body)?;
                 }
                 K_EVENT => {
-                    self.metrics.events.inc();
-                    let (format, ctx, offset) = self.split_trailer(b, &mut body)?;
+                    // The reader runs on wire ids (announcements carry
+                    // them); the caller sees its stable public ids.
+                    let (format, channel, format_pub, offset) = self.take_event(a, b, body)?;
                     let zero_copy = self.reader.is_zero_copy(format);
                     if zero_copy {
                         self.metrics.zero_copy_events.inc();
                     } else {
                         self.metrics.converted_events.inc();
                     }
-                    // The reader runs on wire ids (announcements carry
-                    // them); the caller sees its stable public ids.
-                    let channel_pub = self.chan_from_wire.get(&a).copied().unwrap_or(a);
-                    let format_pub = self.fmt_from_wire.get(&format).copied().unwrap_or(format);
-                    if let Some(off) = offset {
-                        self.note_offset(channel_pub, off);
-                    }
-                    // The previous event's buffer returns to the pool
-                    // here, ready for the next frame read.
-                    self.event_buf = body;
-                    if let Some(ctx) = ctx {
-                        // Stamped before the conversion below, while the
-                        // reader is still unborrowed.
-                        self.record_decode_hop(channel_pub, &ctx);
-                    }
                     let convert_hist = (!zero_copy).then(|| self.metrics.convert_ns.clone());
                     let _span = convert_hist.as_ref().map(|h| Span::enter(h));
                     let view = self.reader.on_data(format, &self.event_buf)?;
                     return Ok(Some(Event {
-                        channel: channel_pub,
+                        channel,
                         format: format_pub,
                         offset,
                         view,
@@ -1029,30 +1017,20 @@ impl ServClient {
     pub fn poll_raw(&mut self, timeout: Duration) -> Result<Option<RawEvent<'_>>, ServError> {
         let deadline = Instant::now() + timeout;
         loop {
-            let Some((kind, a, b, mut body)) = self.next_frame(deadline)? else {
+            let Some((kind, a, b, body)) = self.next_frame(deadline)? else {
                 return Ok(None);
             };
             match kind {
                 K_ANNOUNCE => self.note_wire_format(a, &body),
                 K_EVENT => {
-                    self.metrics.events.inc();
-                    let (format, ctx, offset) = self.split_trailer(b, &mut body)?;
+                    let (format, channel, format_pub, offset) = self.take_event(a, b, body)?;
                     let Some(layout) = self.wire_layouts.get(&format).cloned() else {
                         return Err(ServError::Protocol(format!(
                             "event for unannounced format {format}"
                         )));
                     };
-                    let channel_pub = self.chan_from_wire.get(&a).copied().unwrap_or(a);
-                    let format_pub = self.fmt_from_wire.get(&format).copied().unwrap_or(format);
-                    if let Some(off) = offset {
-                        self.note_offset(channel_pub, off);
-                    }
-                    self.event_buf = body;
-                    if let Some(ctx) = ctx {
-                        self.record_decode_hop(channel_pub, &ctx);
-                    }
                     return Ok(Some(RawEvent {
-                        channel: channel_pub,
+                        channel,
                         format: format_pub,
                         offset,
                         layout,
@@ -1217,44 +1195,31 @@ impl ServClient {
         }
     }
 
-    /// Strip the flagged trailers off an event body, outermost first:
-    /// the offset stamp (durable channels), then the trace trailer.
-    /// Returns the clean format id, the decoded trace context (sampled
-    /// ones only) and the log offset; an unflagged event passes through
-    /// untouched.
-    fn split_trailer(
-        &self,
+    /// The `K_EVENT` prologue [`ServClient::poll`] and
+    /// [`ServClient::poll_raw`] share: strip the trailers, note the
+    /// offset, park the payload in `event_buf` (returning the previous
+    /// event's buffer to the pool) and stamp the decode hop. Returns the
+    /// wire format id, then the public channel, format and the offset.
+    fn take_event(
+        &mut self,
+        a: u32,
         b: u32,
-        body: &mut PooledBuf,
-    ) -> Result<(u32, Option<TraceCtx>, Option<u64>), ServError> {
-        let offset = if b & OFFSET_FLAG != 0 {
-            if body.len() < OFFSET_TRAILER_LEN {
-                return Err(ServError::Protocol(
-                    "event shorter than its offset trailer".into(),
-                ));
-            }
-            let split = body.len() - OFFSET_TRAILER_LEN;
-            let off = u64::from_be_bytes(body[split..].try_into().unwrap());
-            body.truncate(split);
-            Some(off)
-        } else {
-            None
-        };
-        let b = b & !OFFSET_FLAG;
-        if b & TRACE_FLAG == 0 {
-            return Ok((b, None, offset));
+        mut body: PooledBuf,
+    ) -> Result<(u32, u32, u32, Option<u64>), ServError> {
+        self.metrics.events.inc();
+        let ev = split_event(b, &body).map_err(|e| ServError::Protocol(e.to_string()))?;
+        let (format, len, Trailers { trace, offset }) = (ev.format, ev.payload.len(), ev.trailers);
+        body.truncate(len);
+        let channel = self.chan_from_wire.get(&a).copied().unwrap_or(a);
+        let format_pub = self.fmt_from_wire.get(&format).copied().unwrap_or(format);
+        if let Some(off) = offset {
+            self.note_offset(channel, off);
         }
-        let format = b & !TRACE_FLAG;
-        if body.len() < TRACE_TRAILER_LEN {
-            return Err(ServError::Protocol(
-                "event shorter than its trace trailer".into(),
-            ));
+        self.event_buf = body;
+        if let Some(ctx) = trace.filter(TraceCtx::sampled) {
+            self.record_decode_hop(channel, &ctx);
         }
-        let split = body.len() - TRACE_TRAILER_LEN;
-        let ctx = TraceCtx::decode(&body[split..])
-            .ok_or_else(|| ServError::Protocol("malformed trace trailer".into()))?;
-        body.truncate(split);
-        Ok((format, Some(ctx).filter(|c| c.sampled()), offset))
+        Ok((format, channel, format_pub, offset))
     }
 
     /// Stamp the final hop of a traced event: it reached this subscriber
@@ -1262,7 +1227,7 @@ impl ServClient {
     /// timebase so the hop lines up with the daemon-side stamps.
     fn record_decode_hop(&mut self, channel: u32, ctx: &TraceCtx) {
         let t = self.clock.to_peer(epoch_ns());
-        let dur = t.saturating_sub(ctx.origin_ns);
+        let hop = ctx.hop(HOP_DECODE, self.conn_id, channel, t);
         let hist = self.decode_hists.entry(channel).or_insert_with(|| {
             let label = self
                 .chan_names
@@ -1272,16 +1237,8 @@ impl ServClient {
             self.registry
                 .histogram_labeled("hop_decode_ns", "chan", &label)
         });
-        hist.record(dur);
-        self.trace_hops.push(TraceHop {
-            trace_id: ctx.trace_id,
-            span_id: ctx.span_id,
-            hop: HOP_DECODE,
-            conn: self.conn_id,
-            channel,
-            t_ns: t,
-            dur_ns: dur,
-        });
+        hist.record(hop.dur_ns);
+        self.trace_hops.push(hop);
     }
 
     /// Whether records of a format reach this subscriber zero-copy

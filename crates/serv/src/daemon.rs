@@ -54,7 +54,7 @@ use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -77,10 +77,10 @@ use pbio_obs::export::{
     ROLE_DAEMON,
 };
 use pbio_obs::{
-    epoch_ns, Counter, FlightRecorder, Gauge, Histogram, Registry, Span, TraceCtx, TraceHop,
-    TraceSink, FL_CONNECT, FL_EVICT, FL_FAULT, FL_PROTO_ERROR, FL_REPAIR, FL_REPLAY_FINISH,
-    FL_REPLAY_START, FL_RESUME, FL_SHUTDOWN, FL_TAP_DROP, FL_TAP_ROTATE, FL_TAP_START, FL_TAP_STOP,
-    HOP_ENQUEUE, HOP_FLUSH, HOP_INGRESS, HOP_PUBLISH, HOP_RELAY, TRACE_TRAILER_LEN,
+    epoch_ns, Counter, FlightRecorder, Gauge, Histogram, Registry, Span, TraceCtx, TraceSink,
+    FL_CONNECT, FL_EVICT, FL_FAULT, FL_PROTO_ERROR, FL_REPAIR, FL_REPLAY_FINISH, FL_REPLAY_START,
+    FL_RESUME, FL_SHUTDOWN, FL_TAP_DROP, FL_TAP_ROTATE, FL_TAP_START, FL_TAP_STOP, HOP_ENQUEUE,
+    HOP_FLUSH, HOP_INGRESS, HOP_PUBLISH, HOP_RELAY,
 };
 use pbio_store::{Append, ChannelLog, FlushPolicy, ReplayItem, Store, StoreConfig, FORMAT_RAW};
 use pbio_types::arch::ArchProfile;
@@ -279,7 +279,8 @@ pub struct ServStats {
     /// Resume attempts rejected as stale duplicates ([`E_STALE`]).
     pub resumes_stale: u64,
     /// Inbound frames rejected (oversized or checksum-corrupt) without
-    /// killing the session.
+    /// killing the session, plus relayed events a peer link dropped for
+    /// failing the checks a publish gets.
     pub frames_rejected: u64,
     /// Reserved-channel (`$stats`/`$trace`/`$topo`) publishes skipped
     /// because the channel had no subscribers — the snapshot was never
@@ -817,6 +818,22 @@ impl ConnShared {
         self.caps.load(Ordering::Relaxed)
     }
 
+    /// Queue [`K_ANNOUNCE`] for `format` unless this connection has
+    /// already seen it, and return the announced-set guard. Holding the
+    /// guard across the enqueue that uses the format puts the announce
+    /// strictly before it, with no other channel's frames in between.
+    fn announce(&self, formats: &FormatServer, format: u32) -> MutexGuard<'_, HashSet<u32>> {
+        let mut ann = self.announced.lock().unwrap_or_else(|p| p.into_inner());
+        if !ann.contains(&format) {
+            if let Some(meta) = formats.meta(format) {
+                // The registry's metadata is already shared storage.
+                self.send(Frame::with_body(K_ANNOUNCE, format, 0, WireBuf::from(meta)));
+                ann.insert(format);
+            }
+        }
+        ann
+    }
+
     /// Queue a frame and nudge the owning reactor to flush it.
     fn send(&self, frame: Frame) -> Enqueue {
         self.send_traced(frame, None)
@@ -881,10 +898,8 @@ struct RemoteSubscriber {
 impl Subscriber for RemoteSubscriber {
     type Error = Infallible;
 
-    fn accepts(&mut self, format: u32, wire: &[u8]) -> Result<bool, Infallible> {
-        // Durable channels publish with the offset bit riding on the
-        // format argument; the filter wants the bare format id.
-        let format = format & !OFFSET_FLAG;
+    fn accepts(&mut self, b: u32, wire: &[u8]) -> Result<bool, Infallible> {
+        let format = format_id(b);
         if !self.conn.alive.load(Ordering::Relaxed) {
             return Ok(false);
         }
@@ -910,96 +925,38 @@ impl Subscriber for RemoteSubscriber {
 
     fn deliver(
         &mut self,
-        format: u32,
+        b: u32,
         wire: &WireBuf,
         trace: Option<&TraceCtx>,
     ) -> Result<DeliveryOutcome, Infallible> {
-        let has_offset = format & OFFSET_FLAG != 0;
-        let format = format & !OFFSET_FLAG;
-        // Announce the format once per connection, strictly before its
-        // first event; the lock spans both enqueues so a concurrent
-        // publisher on another channel cannot interleave.
-        let mut ann = self
-            .conn
-            .announced
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
-        if !ann.contains(&format) {
-            if let Some(meta) = self.formats.meta(format) {
-                // The registry's metadata is already shared storage.
-                self.conn
-                    .send(Frame::with_body(K_ANNOUNCE, format, 0, WireBuf::from(meta)));
-                ann.insert(format);
-            }
-        }
-        // The body may end in up to two trailers — the publisher's trace
-        // trailer, then (outermost, on durable channels) the daemon's
-        // offset stamp. Each subscriber receives exactly the trailers its
-        // negotiated capabilities cover, with the flags to match; for
-        // capability-less clients both are sliced off (window adjustments
-        // on the shared buffer, no bytes move) so their frames are
-        // byte-identical to an old daemon's. The one combination that
-        // cannot be expressed as a suffix slice — offset without the
-        // trace trailer sandwiched under it — pays a copy; it only
-        // occurs for a durable subscriber on a pre-tracing client.
-        let caps = self.conn.caps();
-        let want_trace = trace.is_some() && caps & CAP_TRACE != 0;
-        let want_offset = has_offset && caps & CAP_DURABLE != 0;
-        let trace_len = if trace.is_some() {
-            TRACE_TRAILER_LEN
-        } else {
-            0
-        };
-        let off_len = if has_offset { OFFSET_TRAILER_LEN } else { 0 };
-        let (b, body) = match (want_trace, want_offset) {
-            (true, true) => (format | TRACE_FLAG | OFFSET_FLAG, wire.clone()),
-            (true, false) => (format | TRACE_FLAG, wire.slice(0, wire.len() - off_len)),
-            (false, false) => (format, wire.slice(0, wire.len() - trace_len - off_len)),
-            (false, true) if trace_len == 0 => (format | OFFSET_FLAG, wire.clone()),
-            (false, true) => {
-                let n = wire.len();
-                let mut v = Vec::with_capacity(n - trace_len);
-                v.extend_from_slice(&wire[..n - trace_len - off_len]);
-                v.extend_from_slice(&wire[n - off_len..]);
-                (format | OFFSET_FLAG, WireBuf::from(v))
-            }
-        };
-        // Per-subscriber cost of an event: one refcount bump.
+        // Each subscriber receives exactly the trailers its negotiated
+        // capabilities cover, so a capability-less client's frames are
+        // byte-identical to an old daemon's. Usually a window on the
+        // shared buffer — one refcount bump per subscriber.
+        let (sub_b, body) = project_event(b, wire, self.conn.caps());
+        let ann = self.conn.announce(&self.formats, format_id(b));
         let outcome = self.conn.send_traced(
-            Frame::with_body(K_EVENT, self.channel, b, body),
+            Frame::with_body(K_EVENT, self.channel, sub_b, body),
             trace.copied(),
         );
         drop(ann);
         // Advance the lag watermark once the event is actually queued
         // (drop-oldest admitted this event at an older one's expense, so
-        // it counts; a closed or stalled queue delivered nothing). The
-        // offset rides the outermost trailer of the shared buffer.
-        if has_offset && matches!(outcome, Enqueue::Sent | Enqueue::DroppedOldest) {
-            if let Some(d) = &self.delivered {
-                let n = wire.len();
-                if let Ok(tail) =
-                    <[u8; OFFSET_TRAILER_LEN]>::try_from(&wire[n - OFFSET_TRAILER_LEN..])
-                {
+        // it counts; a closed or stalled queue delivered nothing).
+        if let Some(d) = &self.delivered {
+            if matches!(outcome, Enqueue::Sent | Enqueue::DroppedOldest) {
+                if let Some(offset) = split_event(b, wire).ok().and_then(|e| e.trailers.offset) {
                     // fetch_max: replay handoff and live delivery may race.
-                    d.fetch_max(u64::from_be_bytes(tail) + 1, Ordering::Relaxed);
+                    d.fetch_max(offset + 1, Ordering::Relaxed);
                 }
             }
         }
         if let Some(ctx) = trace {
-            let t = epoch_ns();
-            let dur = t.saturating_sub(ctx.origin_ns);
+            let hop = ctx.hop(HOP_ENQUEUE, self.conn.id, self.channel, epoch_ns());
             if let Some(h) = &self.hops {
-                h.enqueue_ns.record(dur);
+                h.enqueue_ns.record(hop.dur_ns);
             }
-            self.sink.push(TraceHop {
-                trace_id: ctx.trace_id,
-                span_id: ctx.span_id,
-                hop: HOP_ENQUEUE,
-                conn: self.conn.id,
-                channel: self.channel,
-                t_ns: t,
-                dur_ns: dur,
-            });
+            self.sink.push(hop);
         }
         Ok(match outcome {
             Enqueue::Sent => DeliveryOutcome::Delivered,
@@ -1762,6 +1719,29 @@ impl State {
             .get(&id)
             .cloned()
     }
+
+    /// The checks an event passes before any fan-out, whether a client
+    /// published it or a peer relayed it: its trailers are as `b` flags
+    /// them and its payload covers its format's layout. An error carries
+    /// the code and text a publisher is answered with.
+    fn admit<'a>(&self, b: u32, body: &'a [u8]) -> Result<EventBody<'a>, (u32, String)> {
+        let ev = split_event(b, body).map_err(|e| (E_PROTOCOL, e.to_string()))?;
+        let Some(layout) = self.formats.lookup(ev.format) else {
+            return Err((E_FORMAT, format!("unknown format {}", ev.format)));
+        };
+        if ev.payload.len() < layout.size() {
+            return Err((
+                E_PROTOCOL,
+                format!(
+                    "event payload is {} bytes, format {} requires {}",
+                    ev.payload.len(),
+                    ev.format,
+                    layout.size()
+                ),
+            ));
+        }
+        Ok(ev)
+    }
 }
 
 /// What a peer link needs from its daemon: the format registry (for
@@ -1787,46 +1767,30 @@ impl MeshHost for State {
 
     /// Fan a relayed event out locally: the mesh's relay fan-out
     /// property — one inter-daemon frame, N refcount-bump deliveries —
-    /// rides the same [`Fanout`] as a local publish. `format` carries
-    /// the local id plus trailer flags; the flags describe what is
-    /// still on `body`, and per-subscriber slicing happens in
-    /// [`RemoteSubscriber::deliver`] as usual.
-    fn inject_event(&self, chan: u32, format: u32, body: WireBuf, _peer: u32) {
+    /// rides the same [`Fanout`] as a local publish. `b` carries the
+    /// local format id and the flags of the trailers on `body`. A peer's
+    /// frame passes the same checks as a publish; one that fails is
+    /// dropped and counted in `frames_rejected`.
+    fn inject_event(&self, chan: u32, b: u32, body: WireBuf, peer: u32) {
         let Some(fanout) = self.channel(chan) else {
             return;
         };
-        let traced = format & TRACE_FLAG != 0;
-        let has_offset = format & OFFSET_FLAG != 0;
-        let bare = format & !(TRACE_FLAG | OFFSET_FLAG);
-        let off_len = if has_offset { OFFSET_TRAILER_LEN } else { 0 };
-        let ctx = if traced && body.len() >= off_len + TRACE_TRAILER_LEN {
-            let t = &body[body.len() - off_len - TRACE_TRAILER_LEN..body.len() - off_len];
-            TraceCtx::decode(t).filter(|c| c.sampled())
-        } else {
-            None
-        };
-        // A flagged-but-undecodable trailer must not leak into payload
-        // bytes: strip it (the inner-trailer removal pays a copy when an
-        // offset trailer sits outside it, like the deliver path's rare
-        // case).
-        let body = if traced && ctx.is_none() && body.len() >= off_len + TRACE_TRAILER_LEN {
-            if off_len == 0 {
-                body.slice(0, body.len() - TRACE_TRAILER_LEN)
-            } else {
-                let n = body.len();
-                let mut v = Vec::with_capacity(n - TRACE_TRAILER_LEN);
-                v.extend_from_slice(&body[..n - off_len - TRACE_TRAILER_LEN]);
-                v.extend_from_slice(&body[n - off_len..]);
-                WireBuf::from(v)
-            }
-        } else {
-            body
-        };
         self.metrics.events_in.inc();
+        let Ok(ev) = self.admit(b, &body) else {
+            self.metrics.frames_rejected.inc();
+            return;
+        };
+        let ctx = ev.trailers.trace.filter(TraceCtx::sampled);
+        if let Some(ctx) = &ctx {
+            self.relay_hop(ctx, chan, peer);
+        }
+        // As at publish ingress, a trace trailer rides the fan-out only
+        // while sampled.
+        let keep = if ctx.is_some() { CAP_TRACE } else { 0 };
+        let (b, body) = project_event(b, &body, keep | CAP_DURABLE);
         let mut fanout = fanout.lock().unwrap_or_else(|p| p.into_inner());
         let before = fanout.stats();
-        let pub_fmt = if has_offset { bare | OFFSET_FLAG } else { bare };
-        let _ = fanout.publish_traced(pub_fmt, &body, ctx.as_ref());
+        let _ = fanout.publish_traced(b, &body, ctx.as_ref());
         let after = fanout.stats();
         self.metrics
             .filtered_at_source
@@ -1834,16 +1798,7 @@ impl MeshHost for State {
     }
 
     fn relay_hop(&self, ctx: &TraceCtx, chan: u32, peer: u32) {
-        let t = epoch_ns();
-        self.hops.push(TraceHop {
-            trace_id: ctx.trace_id,
-            span_id: ctx.span_id,
-            hop: HOP_RELAY,
-            conn: peer,
-            channel: chan,
-            t_ns: t,
-            dur_ns: t.saturating_sub(ctx.origin_ns),
-        });
+        self.hops.push(ctx.hop(HOP_RELAY, peer, chan, epoch_ns()));
     }
 }
 
@@ -2731,19 +2686,11 @@ fn flush_conn(state: &Arc<State>, sm: &ShardMetrics, cs: &mut ConnState) -> bool
             if let Some(t) = t_flush {
                 for (frame, ctx) in done.iter().zip(done_traces) {
                     let Some(ctx) = ctx else { continue };
-                    let dur = t.saturating_sub(ctx.origin_ns);
+                    let hop = ctx.hop(HOP_FLUSH, cs.conn.id, frame.a, t);
                     if let Some(h) = state.chan_hops(frame.a) {
-                        h.flush_ns.record(dur);
+                        h.flush_ns.record(hop.dur_ns);
                     }
-                    state.hops.push(TraceHop {
-                        trace_id: ctx.trace_id,
-                        span_id: ctx.span_id,
-                        hop: HOP_FLUSH,
-                        conn: cs.conn.id,
-                        channel: frame.a,
-                        t_ns: t,
-                        dur_ns: dur,
-                    });
+                    state.hops.push(hop);
                 }
             }
             // Outbound tap point: frames are captured once the vectored
@@ -3155,50 +3102,27 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
         }
         K_PUBLISH => {
             state.metrics.events_in.inc();
-            let traced = header.b & TRACE_FLAG != 0;
-            let format = header.b & !TRACE_FLAG;
-            let Some(layout) = state.formats.lookup(format) else {
-                send_error(state, conn, E_FORMAT, format!("unknown format {format}"));
-                return;
-            };
-            let trailer = if traced { TRACE_TRAILER_LEN } else { 0 };
-            if body.len() < layout.size() + trailer {
-                send_error(
-                    state,
-                    conn,
-                    E_PROTOCOL,
-                    format!(
-                        "event payload is {} bytes, format {format} requires {}",
-                        body.len(),
-                        layout.size() + trailer
-                    ),
-                );
-                return;
-            }
-            // A flagged trailer is only meaningful on a session that
-            // negotiated the capability, and its reserved bits must
-            // decode — either failure is a protocol error the session
-            // survives (the event is not published).
-            let ctx = if traced {
-                if conn.caps() & CAP_TRACE == 0 {
-                    send_error(
-                        state,
-                        conn,
-                        E_PROTOCOL,
-                        "trace trailer without negotiated capability",
-                    );
+            // Every failure below is an error the session survives (the
+            // event is not published). Offsets are the daemon's to stamp,
+            // and a trace trailer needs the negotiated capability.
+            let checked = state.admit(header.b, body).and_then(|ev| {
+                let refused = if ev.trailers.offset.is_some() {
+                    "offset trailer on a publish"
+                } else if ev.trailers.trace.is_some() && conn.caps() & CAP_TRACE == 0 {
+                    "trace trailer without negotiated capability"
+                } else {
+                    return Ok(ev);
+                };
+                Err((E_PROTOCOL, refused.to_string()))
+            });
+            let ev = match checked {
+                Ok(ev) => ev,
+                Err((code, msg)) => {
+                    send_error(state, conn, code, msg);
                     return;
                 }
-                match TraceCtx::decode(&body[body.len() - TRACE_TRAILER_LEN..]) {
-                    Some(c) => Some(c).filter(|c| c.sampled()),
-                    None => {
-                        send_error(state, conn, E_PROTOCOL, "malformed trace trailer");
-                        return;
-                    }
-                }
-            } else {
-                None
             };
+            let ctx = ev.trailers.trace.filter(TraceCtx::sampled);
             let Some(fanout) = state.channel(header.a) else {
                 send_error(
                     state,
@@ -3212,39 +3136,21 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
                 // The publisher's own stamp is the trace origin; the
                 // ingress stamp is taken here, after the frame is off
                 // the socket and validated.
-                let t = epoch_ns();
-                let dur = t.saturating_sub(ctx.origin_ns);
+                let ingress = ctx.hop(HOP_INGRESS, conn.id, header.a, epoch_ns());
                 if let Some(h) = state.chan_hops(header.a) {
-                    h.ingress_ns.record(dur);
+                    h.ingress_ns.record(ingress.dur_ns);
                 }
-                state.hops.push(TraceHop {
-                    trace_id: ctx.trace_id,
-                    span_id: ctx.span_id,
-                    hop: HOP_PUBLISH,
-                    conn: conn.id,
-                    channel: header.a,
-                    t_ns: ctx.origin_ns,
-                    dur_ns: 0,
-                });
-                state.hops.push(TraceHop {
-                    trace_id: ctx.trace_id,
-                    span_id: ctx.span_id,
-                    hop: HOP_INGRESS,
-                    conn: conn.id,
-                    channel: header.a,
-                    t_ns: t,
-                    dur_ns: dur,
-                });
+                let origin = ctx.hop(HOP_PUBLISH, conn.id, header.a, ctx.origin_ns);
+                state.hops.push(origin);
+                state.hops.push(ingress);
             }
             // The one allocation a published event costs, however
             // many subscribers it fans out to: its shared body. A
-            // sampled trailer rides along (fan-out slices it off per
+            // sampled trailer rides along (fan-out cuts it per
             // subscriber as needed); an unsampled one is dead weight
-            // and is dropped here.
-            let payload = match ctx {
-                None if traced => &body[..body.len() - TRACE_TRAILER_LEN],
-                _ => body,
-            };
+            // and is cut here.
+            let keep = if ctx.is_some() { CAP_TRACE } else { 0 };
+            let shared = || project_event(header.b, &WireBuf::copy_from(body), keep);
             // Mesh routing: a publish from an ordinary client whose
             // channel is homed elsewhere is forwarded to the home
             // daemon and NOT fanned out here — the home's fan-out is
@@ -3257,13 +3163,8 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
                 if conn.caps() & CAP_PEER == 0 {
                     if let Some((name, home)) = state.channel_route(header.a) {
                         if home != mesh.index {
-                            mesh.forward(
-                                home,
-                                name,
-                                format,
-                                ctx.is_some(),
-                                WireBuf::copy_from(payload),
-                            );
+                            let (b, wire) = shared();
+                            mesh.forward(home, name, b, wire);
                             return;
                         }
                     }
@@ -3281,8 +3182,8 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
             let before = fanout.stats();
             match log {
                 None => {
-                    let wire = WireBuf::copy_from(payload);
-                    let _ = fanout.publish_traced(format, &wire, ctx.as_ref());
+                    let (b, wire) = shared();
+                    let _ = fanout.publish_traced(b, &wire, ctx.as_ref());
                 }
                 Some(log) => {
                     // Reserve the offset, enqueue the disk append and
@@ -3292,21 +3193,22 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
                     // (The store thread never takes a fan-out lock,
                     // so fanout -> store-queue is a safe lock order.)
                     let offset = log.reserve(1);
-                    let mut v = Vec::with_capacity(payload.len() + OFFSET_TRAILER_LEN);
-                    v.extend_from_slice(payload);
-                    v.extend_from_slice(&offset.to_be_bytes());
+                    let trailers = Trailers {
+                        trace: ctx,
+                        offset: Some(offset),
+                    };
+                    let mut v = Vec::new();
+                    let b = trailers.append(&mut v, ev.format, ev.payload);
                     let wire = WireBuf::from(v);
-                    let trace_len = if ctx.is_some() { TRACE_TRAILER_LEN } else { 0 };
-                    let clean = wire.slice(0, payload.len() - trace_len);
                     state.store_q.push(AppendReq {
                         log: log.clone(),
                         chan: header.a,
                         offset,
-                        format,
-                        payload: clean,
+                        format: ev.format,
+                        payload: wire.slice(0, ev.payload.len()),
                         conn: Arc::downgrade(conn),
                     });
-                    let _ = fanout.publish_traced(format | OFFSET_FLAG, &wire, ctx.as_ref());
+                    let _ = fanout.publish_traced(b, &wire, ctx.as_ref());
                 }
             }
             let after = fanout.stats();
@@ -3319,16 +3221,9 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
         }
         K_STATS => match state.encode_stats() {
             Some((format, wire)) => {
-                // Announce the snapshot's format once per connection
-                // (under the same lock the event path uses), so the
-                // client can decode the body that follows.
-                let mut ann = conn.announced.lock().unwrap_or_else(|p| p.into_inner());
-                if !ann.contains(&format) {
-                    if let Some(meta) = state.formats.meta(format) {
-                        conn.send(Frame::with_body(K_ANNOUNCE, format, 0, WireBuf::from(meta)));
-                        ann.insert(format);
-                    }
-                }
+                // Announced like an event's format, so the client can
+                // decode the body that follows.
+                let ann = conn.announce(&state.formats, format);
                 conn.send(Frame::with_body(K_STATS_ACK, header.a, format, wire));
                 drop(ann);
             }
@@ -3340,13 +3235,7 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
         // same record the `$topo` channel pushes.
         K_INSPECT => match state.encode_topo() {
             Some((format, wire)) => {
-                let mut ann = conn.announced.lock().unwrap_or_else(|p| p.into_inner());
-                if !ann.contains(&format) {
-                    if let Some(meta) = state.formats.meta(format) {
-                        conn.send(Frame::with_body(K_ANNOUNCE, format, 0, WireBuf::from(meta)));
-                        ann.insert(format);
-                    }
-                }
+                let ann = conn.announce(&state.formats, format);
                 conn.send(Frame::with_body(K_INSPECT_ACK, header.a, format, wire));
                 drop(ann);
             }
@@ -3623,12 +3512,8 @@ fn replay_loop(
                     let current = fmt_map.entry(format).or_insert_with(|| {
                         state.formats.register_meta(meta).ok().map(|(id, _, _)| id)
                     });
-                    let Some(current) = *current else { return };
-                    let mut ann = conn.announced.lock().unwrap_or_else(|p| p.into_inner());
-                    if ann.insert(current) {
-                        if let Some(m) = state.formats.meta(current) {
-                            conn.send(Frame::with_body(K_ANNOUNCE, current, 0, WireBuf::from(m)));
-                        }
+                    if let Some(current) = *current {
+                        drop(conn.announce(&state.formats, current));
                     }
                 }
                 ReplayItem::Event {
@@ -3641,15 +3526,13 @@ fn replay_loop(
                         // this daemon, skip rather than ship garbage.
                         return;
                     };
-                    let mut v = Vec::with_capacity(payload.len() + OFFSET_TRAILER_LEN);
-                    v.extend_from_slice(payload);
-                    v.extend_from_slice(&offset.to_be_bytes());
-                    conn.send(Frame::with_body(
-                        K_EVENT,
-                        chan,
-                        current | OFFSET_FLAG,
-                        WireBuf::from(v),
-                    ));
+                    let mut v = Vec::new();
+                    let trailers = Trailers {
+                        trace: None,
+                        offset: Some(offset),
+                    };
+                    let b = trailers.append(&mut v, *current, payload);
+                    conn.send(Frame::with_body(K_EVENT, chan, b, WireBuf::from(v)));
                 }
             });
             match sent {

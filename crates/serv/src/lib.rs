@@ -31,12 +31,12 @@
 //!
 //! * **Traces are wire-propagated**: sessions that negotiate the
 //!   [`protocol::CAP_TRACE`] capability stamp 1-in-N publishes with a
-//!   compact trailer ([`pbio_obs::TraceCtx`]); every stage — publish,
-//!   daemon ingress, filter, enqueue, flush, subscriber decode — records
-//!   a hop against the same trace id on one skew-corrected time axis,
-//!   and completed hops are published on the reserved `$trace` channel
-//!   as self-describing PBIO records. Old peers negotiate nothing and
-//!   see plain frames.
+//!   trace trailer ([event-body layout](protocol#event-bodies)); every
+//!   stage — publish, daemon ingress, filter, enqueue, flush, subscriber
+//!   decode — records a hop against the same trace id on one
+//!   skew-corrected time axis, and completed hops are published on the
+//!   reserved `$trace` channel as self-describing PBIO records. Old peers
+//!   negotiate nothing and see plain frames.
 //!
 //! * **Sessions survive faults**: peers that negotiate
 //!   [`protocol::CAP_RESUME`] treat a broken socket as an *outage*, not
@@ -80,7 +80,8 @@
 //!   segment log — off the hot loop, on a dedicated writer thread —
 //!   and acks publishers once bytes are flushed
 //!   ([`protocol::K_PUBLISH_ACK`]). Events on durable channels carry
-//!   their log offset as an outer trailer; subscribers replay history
+//!   their log offset in a trailer ([event-body
+//!   layout](protocol#event-bodies)); subscribers replay history
 //!   from any offset with [`ServClient::subscribe_from`], which streams
 //!   the log and hands off to live delivery gaplessly. Crash recovery
 //!   (CRC-checked scan, torn tails truncated) runs when the store

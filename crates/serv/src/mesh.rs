@@ -53,7 +53,7 @@ use std::time::{Duration, Instant};
 use pbio_net::buf::WireBuf;
 use pbio_net::dial::backoff_delay;
 use pbio_net::frame::{read_frame, write_frame, Frame, FrameHeader, WriteBatch};
-use pbio_obs::{epoch_ns, TraceCtx, TRACE_TRAILER_LEN};
+use pbio_obs::{epoch_ns, TraceCtx};
 use pbio_types::arch::ArchProfile;
 
 use crate::protocol::*;
@@ -137,24 +137,27 @@ pub(crate) trait MeshHost: Send + Sync {
     fn format_meta(&self, id: u32) -> Option<Arc<[u8]>>;
     /// Number of registered formats; ids are contiguous `0..count`.
     fn format_count(&self) -> u32;
-    /// Fan a relayed event out on local channel `chan`. `format`
-    /// carries the *local* format id plus any [`TRACE_FLAG`] /
-    /// [`OFFSET_FLAG`] bits describing trailers still on `body`.
-    fn inject_event(&self, chan: u32, format: u32, body: WireBuf, peer: u32);
+    /// Fan a relayed event out on local channel `chan`. `b` carries the
+    /// *local* format id and the flags of the trailers on `body`, which
+    /// the host validates like any publish.
+    fn inject_event(&self, chan: u32, b: u32, body: WireBuf, peer: u32);
     /// Record a [`HOP_RELAY`](pbio_obs::HOP_RELAY) trace hop against
     /// `peer`'s link.
     fn relay_hop(&self, ctx: &TraceCtx, chan: u32, peer: u32);
 }
 
+/// A publish bound for its channel's home daemon.
+struct Forward {
+    chan: Arc<str>,
+    /// The local format id plus the flags of the trailers on `body`.
+    b: u32,
+    body: WireBuf,
+}
+
 /// Work items the daemon hands a link thread.
 enum LinkMsg {
     /// Forward a publish to the channel's home daemon.
-    Forward {
-        chan: Arc<str>,
-        format: u32,
-        traced: bool,
-        body: WireBuf,
-    },
+    Forward(Forward),
     /// Ensure a relay subscription: events published on `chan` at the
     /// peer should flow back and fan out on local channel `local_chan`.
     Subscribe { chan: Arc<str>, local_chan: u32 },
@@ -251,27 +254,10 @@ impl Mesh {
 
     /// Hand a publish to the link that dials `home`. Returns false when
     /// no such link exists (a home outside the configured mesh).
-    pub(crate) fn forward(
-        &self,
-        home: u32,
-        chan: Arc<str>,
-        format: u32,
-        traced: bool,
-        body: WireBuf,
-    ) -> bool {
+    pub(crate) fn forward(&self, home: u32, chan: Arc<str>, b: u32, body: WireBuf) -> bool {
         let links = self.links.lock().unwrap_or_else(|p| p.into_inner());
-        match links.get(&home) {
-            Some(l) => {
-                l.tx.send(LinkMsg::Forward {
-                    chan,
-                    format,
-                    traced,
-                    body,
-                })
-                .is_ok()
-            }
-            None => false,
-        }
+        let fwd = LinkMsg::Forward(Forward { chan, b, body });
+        links.get(&home).is_some_and(|l| l.tx.send(fwd).is_ok())
     }
 
     /// Ensure events on `chan` (homed at `home`) relay back to local
@@ -368,15 +354,6 @@ struct LinkCtx {
     host: Arc<dyn MeshHost>,
 }
 
-/// A forward that could not resolve yet (link down, or the peer's
-/// channel/format ids not mapped).
-struct PendingForward {
-    chan: Arc<str>,
-    format: u32,
-    traced: bool,
-    body: WireBuf,
-}
-
 /// Per-session state, rebuilt from scratch on every (re)connect — peer
 /// ids are meaningless across that peer's restarts.
 struct Session {
@@ -407,9 +384,10 @@ struct Session {
 
 fn link_loop(ctx: LinkCtx) {
     // Survives reconnects: what we relay-subscribe (name → local chan)
-    // and the forwards still owed to the peer.
+    // and the forwards still owed to the peer, parked until the link is
+    // up and the peer's channel and format ids are mapped.
     let mut subs: HashMap<Arc<str>, u32> = HashMap::new();
-    let mut pending: VecDeque<PendingForward> = VecDeque::new();
+    let mut pending: VecDeque<Forward> = VecDeque::new();
     let mut attempt = 0u32;
     loop {
         if ctx.shutdown.load(Ordering::SeqCst) {
@@ -505,27 +483,11 @@ fn link_loop(ctx: LinkCtx) {
 fn absorb_offline(
     ctx: &LinkCtx,
     subs: &mut HashMap<Arc<str>, u32>,
-    pending: &mut VecDeque<PendingForward>,
+    pending: &mut VecDeque<Forward>,
 ) -> bool {
     loop {
         match ctx.rx.try_recv() {
-            Ok(LinkMsg::Forward {
-                chan,
-                format,
-                traced,
-                body,
-            }) => {
-                park(
-                    ctx,
-                    pending,
-                    PendingForward {
-                        chan,
-                        format,
-                        traced,
-                        body,
-                    },
-                );
-            }
+            Ok(LinkMsg::Forward(fwd)) => park(ctx, pending, fwd),
             Ok(LinkMsg::Subscribe { chan, local_chan }) => {
                 subs.insert(chan, local_chan);
             }
@@ -538,7 +500,7 @@ fn absorb_offline(
 
 /// Park one forward in the bounded pending queue, dropping the oldest
 /// beyond the cap.
-fn park(ctx: &LinkCtx, pending: &mut VecDeque<PendingForward>, fwd: PendingForward) {
+fn park(ctx: &LinkCtx, pending: &mut VecDeque<Forward>, fwd: Forward) {
     if pending.len() >= PENDING_CAP {
         pending.pop_front();
         ctx.shared.relay_dropped.fetch_add(1, Ordering::Relaxed);
@@ -600,7 +562,7 @@ fn run_session(
     ctx: &LinkCtx,
     s: &mut Session,
     subs: &mut HashMap<Arc<str>, u32>,
-    pending: &mut VecDeque<PendingForward>,
+    pending: &mut VecDeque<Forward>,
 ) -> bool {
     loop {
         if ctx.shutdown.load(Ordering::SeqCst) {
@@ -665,7 +627,7 @@ fn run_session(
         if resolved && !pending.is_empty() {
             let mut keep = VecDeque::with_capacity(pending.len());
             while let Some(fwd) = pending.pop_front() {
-                if !try_forward(ctx, s, fwd.chan.clone(), fwd.format, fwd.traced, &fwd.body) {
+                if !try_forward(ctx, s, &fwd) {
                     keep.push_back(fwd);
                 }
             }
@@ -722,27 +684,13 @@ fn handle_msg(
     ctx: &LinkCtx,
     s: &mut Session,
     subs: &mut HashMap<Arc<str>, u32>,
-    pending: &mut VecDeque<PendingForward>,
+    pending: &mut VecDeque<Forward>,
     msg: LinkMsg,
 ) -> bool {
     match msg {
-        LinkMsg::Forward {
-            chan,
-            format,
-            traced,
-            body,
-        } => {
-            if !try_forward(ctx, s, chan.clone(), format, traced, &body) {
-                park(
-                    ctx,
-                    pending,
-                    PendingForward {
-                        chan,
-                        format,
-                        traced,
-                        body,
-                    },
-                );
+        LinkMsg::Forward(fwd) => {
+            if !try_forward(ctx, s, &fwd) {
+                park(ctx, pending, fwd);
             }
             false
         }
@@ -788,18 +736,12 @@ fn request_channel(s: &mut Session, name: Arc<str>) {
 
 /// Attempt to put one forward on the wire. False means an id is still
 /// unresolved (the needed request is queued as a side effect).
-fn try_forward(
-    ctx: &LinkCtx,
-    s: &mut Session,
-    chan: Arc<str>,
-    format: u32,
-    traced: bool,
-    body: &WireBuf,
-) -> bool {
-    let Some(&pchan) = s.chan_peer.get(&chan) else {
-        request_channel(s, chan);
+fn try_forward(ctx: &LinkCtx, s: &mut Session, fwd: &Forward) -> bool {
+    let Some(&pchan) = s.chan_peer.get(&fwd.chan) else {
+        request_channel(s, fwd.chan.clone());
         return false;
     };
+    let format = format_id(fwd.b);
     let Some(&pfmt) = s.fmt_peer.get(&format) else {
         if s.fmt_requested.insert(format) {
             if let Some(meta) = ctx.host.format_meta(format) {
@@ -809,16 +751,15 @@ fn try_forward(
         }
         return false;
     };
-    let b = if traced { pfmt | TRACE_FLAG } else { pfmt };
-    if traced && body.len() >= TRACE_TRAILER_LEN {
-        if let Some(tc) = TraceCtx::decode(&body[body.len() - TRACE_TRAILER_LEN..]) {
-            if tc.sampled() {
-                ctx.host.relay_hop(&tc, pchan, ctx.peer);
-            }
-        }
+    let trace = split_event(fwd.b, &fwd.body)
+        .ok()
+        .and_then(|e| e.trailers.trace);
+    if let Some(tc) = trace.filter(TraceCtx::sampled) {
+        ctx.host.relay_hop(&tc, pchan, ctx.peer);
     }
+    let b = with_format(fwd.b, pfmt);
     s.outq
-        .push_back(Frame::with_body(K_PUBLISH, pchan, b, body.clone()));
+        .push_back(Frame::with_body(K_PUBLISH, pchan, b, fwd.body.clone()));
     ctx.shared.relay_tx.fetch_add(1, Ordering::Relaxed);
     true
 }
@@ -875,32 +816,15 @@ fn handle_peer_frame(
         // A relayed event: translate ids into the local namespace and
         // fan it out — one frame in, N refcount bumps out.
         K_EVENT => {
-            let flags = header.b & (TRACE_FLAG | OFFSET_FLAG);
-            let pfmt = header.b & !(TRACE_FLAG | OFFSET_FLAG);
-            let Some(&local_fmt) = s.fmt_rev.get(&pfmt) else {
+            let Some(&local_fmt) = s.fmt_rev.get(&format_id(header.b)) else {
                 return false;
             };
             let Some(&local_chan) = s.chan_rev.get(&header.a) else {
                 return false;
             };
-            if flags & TRACE_FLAG != 0 {
-                let off = if flags & OFFSET_FLAG != 0 {
-                    OFFSET_TRAILER_LEN
-                } else {
-                    0
-                };
-                if body.len() >= off + TRACE_TRAILER_LEN {
-                    let t = &body[body.len() - off - TRACE_TRAILER_LEN..body.len() - off];
-                    if let Some(tc) = TraceCtx::decode(t) {
-                        if tc.sampled() {
-                            ctx.host.relay_hop(&tc, local_chan, ctx.peer);
-                        }
-                    }
-                }
-            }
             ctx.shared.relay_rx.fetch_add(1, Ordering::Relaxed);
-            ctx.host
-                .inject_event(local_chan, local_fmt | flags, body, ctx.peer);
+            let b = with_format(header.b, local_fmt);
+            ctx.host.inject_event(local_chan, b, body, ctx.peer);
             false
         }
         K_PING => {

@@ -50,6 +50,30 @@
 //! daemon never converts. Filters run on the daemon against the
 //! *publisher's* wire format, so rejected events cost no transmission —
 //! the paper's "filter at the source" (§5) for derived event channels.
+//!
+//! ## Event bodies
+//!
+//! A `PUBLISH` or `EVENT` body may end in up to two trailers, each
+//! announced by a bit of `b` above the format id:
+//!
+//! ```text
+//! body   := payload  trace?  offset?
+//! payload   the record's native (NDR) bytes, untouched
+//! trace     24 bytes, b bit 31 (TRACE_FLAG): trace_id:u64be origin_ns:u64be
+//!           span_id:u32be flags:u8 reserved:3 zero bytes  (pbio_obs::TraceCtx)
+//! offset    8 bytes, b bit 30 (OFFSET_FLAG): durable channel offset, u64be;
+//!           EVENT only, appended by the daemon, so always outermost
+//! ```
+//!
+//! A peer sees a trailer only if it negotiated the capability covering
+//! it: [`CAP_TRACE`] for the trace, [`CAP_DURABLE`] for the offset. Only
+//! [`split_event`], [`Trailers::append`] and [`project_event`] read or
+//! write this layout.
+
+use std::fmt;
+
+use pbio_net::buf::WireBuf;
+use pbio_obs::{TraceCtx, TRACE_TRAILER_LEN};
 
 /// Protocol version carried in `HELLO`/`HELLO_ACK`.
 pub const PROTOCOL_VERSION: u32 = 1;
@@ -104,18 +128,15 @@ pub const CAP_DURABLE: u32 = 0x4;
 /// remote-origin events decode everywhere.
 pub const CAP_PEER: u32 = 0x8;
 
-/// High bit of the format-id argument (`b`) on [`K_PUBLISH`] and
-/// [`K_EVENT`]: the body carries a trace trailer
-/// ([`pbio_obs::TRACE_TRAILER_LEN`] bytes) after the record's NDR
-/// bytes. Format ids never reach this bit.
+/// Bit 31 of `b` on [`K_PUBLISH`]/[`K_EVENT`]: the body carries a trace
+/// trailer ([layout](self#event-bodies)). Format ids never reach it.
 pub const TRACE_FLAG: u32 = 0x8000_0000;
 
-/// Bit 30 of the format-id argument (`b`) on [`K_EVENT`]: the body ends
-/// with the event's durable channel offset (`u64be`, *after* the trace
-/// trailer when both are present — the daemon appends it last, so it is
-/// stripped first). Daemon-global format ids count up from zero and
-/// never reach this bit.
+/// Bit 30 of `b` on [`K_EVENT`]: the body ends with the durable offset
+/// trailer ([layout](self#event-bodies)). Format ids never reach it.
 pub const OFFSET_FLAG: u32 = 0x4000_0000;
+
+const TRAILER_FLAGS: u32 = TRACE_FLAG | OFFSET_FLAG;
 
 /// Channel-flags bit (in `K_CHANNEL.b`): open the channel *durable* —
 /// every event published to it is appended to the daemon's pbio-store
@@ -125,8 +146,7 @@ pub const OFFSET_FLAG: u32 = 0x4000_0000;
 /// channel property, not a per-subscriber one).
 pub const CHAN_DURABLE: u32 = 0x1;
 
-/// Trailing bytes a [`OFFSET_FLAG`] offset trailer adds to an event
-/// body.
+/// Bytes an [`OFFSET_FLAG`] trailer adds to an event body.
 pub const OFFSET_TRAILER_LEN: usize = 8;
 
 /// Client → daemon: open a session. `a` = version, `b` = capability
@@ -323,5 +343,290 @@ pub fn kind_name(kind: u8) -> &'static str {
         K_BYE_ACK => "BYE_ACK",
         K_ERROR => "ERROR",
         _ => "?",
+    }
+}
+
+/// `b` without its trailer flags: the bare format id.
+pub fn format_id(b: u32) -> u32 {
+    b & !TRAILER_FLAGS
+}
+
+/// `b` with its format id replaced and its trailer flags kept — for
+/// translating ids between namespaces.
+pub fn with_format(b: u32, format: u32) -> u32 {
+    format | (b & TRAILER_FLAGS)
+}
+
+/// The trailers an event body carries after its payload.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Trailers {
+    /// The trace context, sampled or not.
+    pub trace: Option<TraceCtx>,
+    /// The durable channel offset.
+    pub offset: Option<u64>,
+}
+
+impl Trailers {
+    /// Bytes the trailers occupy on the wire.
+    pub fn wire_len(&self) -> usize {
+        self.trace.map_or(0, |_| TRACE_TRAILER_LEN) + self.offset.map_or(0, |_| OFFSET_TRAILER_LEN)
+    }
+
+    /// Append `payload` and then the trailers to `out`, returning
+    /// `format` flagged to match. Reserves what it writes up front, so a
+    /// fresh `Vec` costs one allocation.
+    pub fn append(&self, out: &mut Vec<u8>, format: u32, payload: &[u8]) -> u32 {
+        out.reserve(payload.len() + self.wire_len());
+        out.extend_from_slice(payload);
+        let mut b = format;
+        if let Some(ctx) = &self.trace {
+            out.extend_from_slice(&ctx.encode());
+            b |= TRACE_FLAG;
+        }
+        if let Some(offset) = self.offset {
+            out.extend_from_slice(&offset.to_be_bytes());
+            b |= OFFSET_FLAG;
+        }
+        b
+    }
+}
+
+/// An event body split along the trailers its `b` flags announce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventBody<'a> {
+    /// The bare format id.
+    pub format: u32,
+    /// The record's native bytes.
+    pub payload: &'a [u8],
+    /// What followed them.
+    pub trailers: Trailers,
+}
+
+/// Why an event body does not hold what its flags announce.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrailerError {
+    /// The body is shorter than its flagged offset trailer.
+    ShortOffset,
+    /// The body is shorter than its flagged trace trailer.
+    ShortTrace,
+    /// The trace trailer does not decode (unknown flags, nonzero
+    /// reserved bytes).
+    MalformedTrace,
+}
+
+impl fmt::Display for TrailerError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            TrailerError::ShortOffset => "event shorter than its offset trailer",
+            TrailerError::ShortTrace => "event shorter than its trace trailer",
+            TrailerError::MalformedTrace => "malformed trace trailer",
+        })
+    }
+}
+
+impl std::error::Error for TrailerError {}
+
+/// Split `body` into payload and trailers as `b` flags them, outermost
+/// (offset) first.
+pub fn split_event(b: u32, body: &[u8]) -> Result<EventBody<'_>, TrailerError> {
+    let (trace_len, off_len) = trailer_lens(b);
+    let rest = body
+        .len()
+        .checked_sub(off_len)
+        .ok_or(TrailerError::ShortOffset)?;
+    let end = rest
+        .checked_sub(trace_len)
+        .ok_or(TrailerError::ShortTrace)?;
+    let trace = match &body[end..rest] {
+        [] => None,
+        t => Some(TraceCtx::decode(t).ok_or(TrailerError::MalformedTrace)?),
+    };
+    let offset = <[u8; OFFSET_TRAILER_LEN]>::try_from(&body[rest..]).ok();
+    Ok(EventBody {
+        format: format_id(b),
+        payload: &body[..end],
+        trailers: Trailers {
+            trace,
+            offset: offset.map(u64::from_be_bytes),
+        },
+    })
+}
+
+/// Lengths of the trace and offset trailers `b` flags.
+fn trailer_lens(b: u32) -> (usize, usize) {
+    let len = |flag: u32, n: usize| if b & flag != 0 { n } else { 0 };
+    (
+        len(TRACE_FLAG, TRACE_TRAILER_LEN),
+        len(OFFSET_FLAG, OFFSET_TRAILER_LEN),
+    )
+}
+
+/// One receiver's view of a shared event: `b` and `wire` as
+/// [`Trailers::append`] built them or [`split_event`] accepted them, cut
+/// to the trailers `caps` covers ([`CAP_TRACE`], [`CAP_DURABLE`]). Cutting
+/// outer trailers is a window on the shared storage; cutting the trace
+/// trailer from under a kept offset is the one case that copies.
+pub fn project_event(b: u32, wire: &WireBuf, caps: u32) -> (u32, WireBuf) {
+    let mut keep = b & TRAILER_FLAGS;
+    if caps & CAP_TRACE == 0 {
+        keep &= !TRACE_FLAG;
+    }
+    if caps & CAP_DURABLE == 0 {
+        keep &= !OFFSET_FLAG;
+    }
+    if keep == b & TRAILER_FLAGS {
+        return (b, wire.clone());
+    }
+    let out = format_id(b) | keep;
+    let (trace_len, off_len) = trailer_lens(b);
+    if keep & OFFSET_FLAG == 0 {
+        let cut = trace_len + off_len - trailer_lens(keep).0;
+        return (out, wire.slice(0, wire.len().saturating_sub(cut)));
+    }
+    let tail = wire.len().saturating_sub(off_len);
+    let payload = tail.saturating_sub(trace_len);
+    let mut v = Vec::with_capacity(payload + off_len);
+    v.extend_from_slice(&wire[..payload]);
+    v.extend_from_slice(&wire[tail..]);
+    (out, WireBuf::from(v))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pbio_obs::FLAG_SAMPLED;
+    use proptest::prelude::*;
+
+    const CTX: TraceCtx = TraceCtx {
+        trace_id: 0x0102_0304_0506_0708,
+        origin_ns: 0x1112_1314_1516_1718,
+        span_id: 0x2122_2324,
+        flags: FLAG_SAMPLED,
+    };
+
+    fn all_trailers() -> [Trailers; 4] {
+        [
+            Trailers::default(),
+            Trailers {
+                trace: Some(CTX),
+                offset: None,
+            },
+            Trailers {
+                trace: None,
+                offset: Some(0xA1A2_A3A4_A5A6_A7A8),
+            },
+            Trailers {
+                trace: Some(CTX),
+                offset: Some(7),
+            },
+        ]
+    }
+
+    #[test]
+    fn append_then_split_round_trips() {
+        for trailers in all_trailers() {
+            for len in [0usize, 1, 23, 24, 31, 32, 100] {
+                let payload: Vec<u8> = (0..len).map(|i| i as u8 ^ 0x5a).collect();
+                let mut body = Vec::new();
+                let b = trailers.append(&mut body, 42, &payload);
+                assert_eq!(body.len(), len + trailers.wire_len());
+                assert_eq!(b & TRACE_FLAG != 0, trailers.trace.is_some());
+                assert_eq!(b & OFFSET_FLAG != 0, trailers.offset.is_some());
+                let ev = split_event(b, &body).unwrap();
+                assert_eq!(
+                    ev,
+                    EventBody {
+                        format: 42,
+                        payload: &payload,
+                        trailers
+                    }
+                );
+            }
+        }
+    }
+
+    /// Payload, then trace, then offset — bits 31 and 30.
+    #[test]
+    fn golden_bytes_pin_the_order() {
+        let trailers = Trailers {
+            trace: Some(CTX),
+            offset: Some(0x3132_3334_3536_3738),
+        };
+        let mut body = Vec::new();
+        let b = trailers.append(&mut body, 9, b"pay");
+        assert_eq!(b, 0xC000_0009);
+        let want: Vec<u8> = [
+            &b"pay"[..],
+            &[1, 2, 3, 4, 5, 6, 7, 8],
+            &[0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18],
+            &[0x21, 0x22, 0x23, 0x24, FLAG_SAMPLED, 0, 0, 0],
+            &[0x31, 0x32, 0x33, 0x34, 0x35, 0x36, 0x37, 0x38],
+        ]
+        .concat();
+        assert_eq!(body, want);
+    }
+
+    #[test]
+    fn every_truncation_is_a_typed_error() {
+        for trailers in all_trailers().into_iter().skip(1) {
+            let mut body = Vec::new();
+            let b = trailers.append(&mut body, 3, &[]);
+            for cut in 0..body.len() {
+                let err = split_event(b, &body[..cut]).unwrap_err();
+                let want = if trailers.offset.is_some() && cut < OFFSET_TRAILER_LEN {
+                    TrailerError::ShortOffset
+                } else {
+                    TrailerError::ShortTrace
+                };
+                assert_eq!(err, want, "{trailers:?} cut to {cut}");
+            }
+        }
+        let mut bad = CTX.encode();
+        bad[23] = 1;
+        assert_eq!(
+            split_event(TRACE_FLAG, &bad),
+            Err(TrailerError::MalformedTrace)
+        );
+    }
+
+    #[test]
+    fn projection_keeps_exactly_the_covered_trailers() {
+        let payload = b"0123456789";
+        for trailers in all_trailers() {
+            let mut body = Vec::new();
+            let b = trailers.append(&mut body, 5, payload);
+            let wire = WireBuf::from(body);
+            for caps in [0, CAP_TRACE, CAP_DURABLE, CAP_TRACE | CAP_DURABLE] {
+                let covered = Trailers {
+                    trace: trailers.trace.filter(|_| caps & CAP_TRACE != 0),
+                    offset: trailers.offset.filter(|_| caps & CAP_DURABLE != 0),
+                };
+                let mut want = Vec::new();
+                let want_b = covered.append(&mut want, 5, payload);
+                let (got_b, got) = project_event(b, &wire, caps);
+                assert_eq!((got_b, got.to_vec()), (want_b, want), "caps {caps:#x}");
+                let copies = covered.offset.is_some() && trailers.trace != covered.trace;
+                assert_eq!(got.as_ptr() != wire.as_ptr(), copies, "caps {caps:#x}");
+            }
+        }
+    }
+
+    proptest! {
+        /// Hostile bodies and flag words: split either succeeds with a
+        /// payload that is a prefix of the body, or fails typed — never
+        /// panics — and projecting an accepted body never panics either.
+        #[test]
+        fn split_never_panics(
+            body in proptest::collection::vec(any::<u8>(), 0..64),
+            b in any::<u32>(),
+        ) {
+            if let Ok(ev) = split_event(b, &body) {
+                prop_assert_eq!(ev.format, format_id(b));
+                prop_assert_eq!(ev.payload, &body[..ev.payload.len()]);
+                prop_assert_eq!(ev.payload.len() + ev.trailers.wire_len(), body.len());
+                let (pb, _) = project_event(b, &WireBuf::from(body.clone()), b);
+                prop_assert_eq!(format_id(pb), format_id(b));
+            }
+        }
     }
 }

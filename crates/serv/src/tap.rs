@@ -51,9 +51,9 @@ use pbio_types::layout::Layout;
 use pbio_types::meta::deserialize_layout;
 
 use crate::protocol::{
-    K_ANNOUNCE, K_BYE_ACK, K_CHANNEL, K_CHANNEL_ACK, K_ERROR, K_EVENT, K_FORMAT, K_FORMAT_ACK,
-    K_HELLO, K_HELLO_ACK, K_PING, K_PONG, K_PUBLISH, K_SUBSCRIBE, K_SUBSCRIBE_FROM, OFFSET_FLAG,
-    TAP_CHANNEL, TAP_FULL, TAP_OFF, TAP_SAMPLED, TRACE_FLAG,
+    format_id, with_format, K_ANNOUNCE, K_BYE_ACK, K_CHANNEL, K_CHANNEL_ACK, K_ERROR, K_EVENT,
+    K_FORMAT, K_FORMAT_ACK, K_HELLO, K_HELLO_ACK, K_PING, K_PONG, K_PUBLISH, K_SUBSCRIBE,
+    K_SUBSCRIBE_FROM, TAP_CHANNEL, TAP_FULL, TAP_OFF, TAP_SAMPLED,
 };
 
 /// Direction tag of an inbound captured frame (client → daemon).
@@ -646,9 +646,8 @@ pub fn replay_session(
             }
             K_PUBLISH => {
                 let a = *maps.channels.get(&frame.a).unwrap_or(&frame.a);
-                let flags = frame.b & (TRACE_FLAG | OFFSET_FLAG);
-                let id = frame.b & !(TRACE_FLAG | OFFSET_FLAG);
-                let b = *maps.formats.get(&id).unwrap_or(&id) | flags;
+                let id = format_id(frame.b);
+                let b = with_format(frame.b, *maps.formats.get(&id).unwrap_or(&id));
                 send(
                     &mut stream,
                     &Frame {

@@ -8,10 +8,21 @@
 //! like the CI fault matrix does).
 
 use std::collections::HashMap;
+use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
-use pbio_serv::{home_of, MeshConfig, ServClient, ServConfig, ServDaemon, TraceConfig};
+use pbio_net::frame::{read_frame, write_frame, Frame};
+use pbio_serv::protocol::{
+    K_CHANNEL, K_CHANNEL_ACK, K_EVENT, K_FORMAT, K_HELLO, K_HELLO_ACK, K_SUBSCRIBE, OFFSET_FLAG,
+    PROTOCOL_VERSION,
+};
+use pbio_serv::{
+    home_of, MeshConfig, ServClient, ServConfig, ServDaemon, TraceConfig, CAP_DURABLE, CAP_PEER,
+    CAP_TRACE,
+};
 use pbio_types::arch::ArchProfile;
+use pbio_types::layout::Layout;
+use pbio_types::meta::serialize_layout;
 use pbio_types::schema::{AtomType, FieldDecl, Schema};
 
 fn ev_schema() -> Schema {
@@ -384,4 +395,77 @@ fn peer_killed_mid_relay_keeps_exact_accounting() {
     // The publisher's own session (to the live d0) is unaffected.
     publisher.publish(pchan, fmt, &ev_bytes(u64::MAX)).unwrap();
     publisher.disconnect().unwrap();
+}
+
+/// A relayed event is hostile input from another process: a body
+/// shorter than its flagged trailers, or than its format's layout, is
+/// dropped and counted in `frames_rejected`, and the link keeps relaying.
+/// The home daemon here is a plain socket speaking the peer protocol.
+#[test]
+fn short_relayed_event_is_rejected_and_the_link_survives() {
+    const PEER_CHAN: u32 = 5;
+    const PEER_FMT: u32 = 3;
+    let home = TcpListener::bind("127.0.0.1:0").unwrap();
+    let home_addr = home.local_addr().unwrap();
+    let meta = serialize_layout(&Layout::of(&ev_schema(), &ArchProfile::X86_64).unwrap());
+    let fake_home = std::thread::spawn(move || {
+        let (mut s, _) = home.accept().unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(15))).unwrap();
+        let hello = read_frame(&mut s).unwrap();
+        assert_eq!(hello.kind, K_HELLO);
+        let mut granted = (CAP_PEER | CAP_TRACE | CAP_DURABLE).to_be_bytes().to_vec();
+        granted.extend_from_slice(&[0; 12]);
+        write_frame(
+            &mut s,
+            &Frame::with_body(K_HELLO_ACK, PROTOCOL_VERSION, 1, granted),
+        )
+        .unwrap();
+        // Serve the link until its relay subscription arrives, then
+        // gossip the format and relay three events on it.
+        while let Ok(f) = read_frame(&mut s) {
+            match f.kind {
+                K_CHANNEL => {
+                    write_frame(&mut s, &Frame::control(K_CHANNEL_ACK, f.a, PEER_CHAN)).unwrap()
+                }
+                K_SUBSCRIBE if f.a == PEER_CHAN => {
+                    let events = [
+                        Frame::with_body(K_FORMAT, PEER_FMT, 0, meta.clone()),
+                        // Flags an 8-byte offset trailer on a 3-byte body.
+                        Frame::with_body(K_EVENT, PEER_CHAN, PEER_FMT | OFFSET_FLAG, vec![1u8; 3]),
+                        // No trailers, but short of the 8-byte layout.
+                        Frame::with_body(K_EVENT, PEER_CHAN, PEER_FMT, vec![2u8; 3]),
+                        Frame::with_body(K_EVENT, PEER_CHAN, PEER_FMT, ev_bytes(42).to_vec()),
+                    ];
+                    for f in &events {
+                        write_frame(&mut s, f).unwrap();
+                    }
+                }
+                _ => {}
+            }
+        }
+    });
+
+    let d0 = ServDaemon::bind_with("127.0.0.1:0", mesh_config(0, 2)).unwrap();
+    assert!(d0.connect_peer(1, home_addr.to_string()));
+    let mut sub = ServClient::connect(d0.local_addr(), &ArchProfile::X86_64).unwrap();
+    let chan = sub.open_channel(&name_homed(1, 2)).unwrap();
+    sub.subscribe_raw(chan, None).unwrap();
+
+    let deadline = Instant::now() + Duration::from_secs(15);
+    let bytes = loop {
+        assert!(Instant::now() < deadline, "well-formed relay never arrived");
+        if let Some(ev) = sub.poll_raw(Duration::from_millis(100)).unwrap() {
+            break ev.bytes.to_vec();
+        }
+    };
+    assert_eq!(
+        bytes,
+        ev_bytes(42),
+        "the first delivery is the well-formed event"
+    );
+    assert_eq!(d0.stats().frames_rejected, 2, "both short events counted");
+    let link = d0.peer_stats();
+    assert!(link.iter().any(|p| p.peer == 1 && p.connected));
+    d0.shutdown();
+    fake_home.join().unwrap();
 }

@@ -13,11 +13,13 @@ use pbio_obs::export::hop_from_value;
 use pbio_obs::{TraceCtx, TraceHop, FLAG_SAMPLED, HOP_DECODE, HOP_PUBLISH, HOP_REQUIRED};
 use pbio_serv::protocol::PROTOCOL_VERSION;
 use pbio_serv::protocol::{
-    E_CHANNEL, E_PROTOCOL, K_BYE, K_BYE_ACK, K_CHANNEL, K_CHANNEL_ACK, K_EVENT, K_FORMAT,
-    K_FORMAT_ACK, K_HELLO, K_HELLO_ACK, K_PUBLISH, K_SUBSCRIBE, K_SUBSCRIBE_ACK, TRACE_FLAG,
+    E_CHANNEL, E_PROTOCOL, K_ANNOUNCE, K_BYE, K_BYE_ACK, K_CHANNEL, K_CHANNEL_ACK, K_EVENT,
+    K_FORMAT, K_FORMAT_ACK, K_HELLO, K_HELLO_ACK, K_PUBLISH, K_SUBSCRIBE, K_SUBSCRIBE_ACK,
+    OFFSET_FLAG, TRACE_FLAG,
 };
 use pbio_serv::{
-    ServClient, ServConfig, ServDaemon, ServError, TraceConfig, CAP_TRACE, TRACE_CHANNEL,
+    FlushPolicy, ServClient, ServConfig, ServDaemon, ServError, StoreConfig, TraceConfig,
+    CAP_DURABLE, CAP_TRACE, CHAN_DURABLE, TRACE_CHANNEL,
 };
 use pbio_types::arch::ArchProfile;
 use pbio_types::layout::Layout;
@@ -202,9 +204,30 @@ impl RawPeer {
     }
 
     fn open(&mut self, name: &str) -> u32 {
-        let ack = self.roundtrip(&Frame::with_body(K_CHANNEL, 2, 0, name.as_bytes()));
+        self.open_flags(name, 0)
+    }
+
+    fn open_flags(&mut self, name: &str, flags: u32) -> u32 {
+        let ack = self.roundtrip(&Frame::with_body(K_CHANNEL, 2, flags, name.as_bytes()));
         assert_eq!(ack.kind, K_CHANNEL_ACK);
         ack.b
+    }
+
+    fn subscribe(&mut self, chan: u32) {
+        let ack = self.roundtrip(&Frame::control(K_SUBSCRIBE, chan, 0));
+        assert_eq!((ack.kind, ack.a), (K_SUBSCRIBE_ACK, chan));
+    }
+
+    /// The next `K_EVENT`, skipping the `K_ANNOUNCE` frames before it.
+    fn next_event(&mut self) -> Frame {
+        loop {
+            let f = self.recv();
+            match f.kind {
+                K_EVENT => return f,
+                K_ANNOUNCE => {}
+                other => panic!("expected an event, got frame kind {other:#04x}"),
+            }
+        }
     }
 
     fn bye(mut self) {
@@ -514,4 +537,109 @@ fn runtime_sampling_toggle_round_trips() {
     let off = ServClient::connect(addr, &ArchProfile::X86_64).unwrap();
     assert_eq!(off.trace_sampling(), 0);
     daemon.shutdown();
+}
+
+/// Every trailer combination an event can carry, against every
+/// capability set a subscriber can hold. Each subscriber receives
+/// exactly `payload ‖ trace? ‖ offset?`: the trailers its capabilities
+/// cover, flagged in `b`, and nothing else. The publisher is a raw peer,
+/// so the traced row is sampled by construction; the last row flags a
+/// well-formed but unsampled trailer, which the daemon drops at ingress.
+#[test]
+fn trailer_matrix_follows_subscriber_capabilities() {
+    let dir = std::env::temp_dir().join(format!("pbio-trailer-matrix-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let daemon = ServDaemon::bind_with(
+        "127.0.0.1:0",
+        ServConfig {
+            queue_capacity: 1024,
+            stats_interval: None,
+            trace: TraceConfig {
+                sample_mod: 1,
+                publish_interval: None,
+                sink_capacity: 4096,
+            },
+            durability: Some(StoreConfig {
+                flush: FlushPolicy::EveryBatch,
+                ..StoreConfig::new(dir.clone())
+            }),
+            ..ServConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = daemon.local_addr();
+    let layout = Layout::of(&sample_schema(), &ArchProfile::X86_64).unwrap();
+
+    let mut publisher = RawPeer::connect(addr, CAP_TRACE);
+    let fmt = publisher.register(&layout);
+    let plain = publisher.open("matrix-plain");
+    let durable = publisher.open_flags("matrix-durable", CHAN_DURABLE);
+
+    let mut subs: Vec<(u32, RawPeer)> = [0, CAP_TRACE, CAP_DURABLE, CAP_TRACE | CAP_DURABLE]
+        .into_iter()
+        .map(|caps| {
+            let mut peer = RawPeer::connect(addr, caps);
+            peer.subscribe(plain);
+            peer.subscribe(durable);
+            (caps, peer)
+        })
+        .collect();
+
+    let sampled = TraceCtx {
+        trace_id: 0x0123_4567_89ab_cdef,
+        span_id: 77,
+        origin_ns: 5,
+        flags: FLAG_SAMPLED,
+    };
+    let unsampled = TraceCtx {
+        flags: 0,
+        ..sampled
+    };
+    let rows = [
+        ("untraced", None),
+        ("traced", Some(sampled)),
+        ("unsampled", Some(unsampled)),
+    ];
+    let mut next_offset = 0u64;
+    let mut cell = 0u8;
+    for (row, ctx) in rows {
+        for (chan, chan_name) in [(plain, "plain"), (durable, "durable")] {
+            cell += 1;
+            let payload: Vec<u8> = (0..layout.size()).map(|i| cell ^ i as u8).collect();
+            let mut body = payload.clone();
+            let mut b = fmt;
+            if let Some(c) = ctx {
+                body.extend_from_slice(&c.encode());
+                b |= TRACE_FLAG;
+            }
+            publisher.send(&Frame::with_body(K_PUBLISH, chan, b, body));
+            let offset = (chan == durable).then(|| {
+                next_offset += 1;
+                next_offset - 1
+            });
+            for (caps, sub) in &mut subs {
+                let mut want_b = fmt;
+                let mut want = payload.clone();
+                if let Some(c) = ctx.filter(|c| c.sampled() && *caps & CAP_TRACE != 0) {
+                    want.extend_from_slice(&c.encode());
+                    want_b |= TRACE_FLAG;
+                }
+                if let Some(off) = offset.filter(|_| *caps & CAP_DURABLE != 0) {
+                    want.extend_from_slice(&off.to_be_bytes());
+                    want_b |= OFFSET_FLAG;
+                }
+                let ev = sub.next_event();
+                let what = format!("{row} publish, {chan_name} channel, caps {caps:#x}");
+                assert_eq!((ev.a, ev.b), (chan, want_b), "{what}: channel and b");
+                assert_eq!(ev.body, want, "{what}: body bytes");
+            }
+        }
+    }
+
+    for (_, sub) in subs {
+        sub.bye();
+    }
+    publisher.bye();
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
