@@ -126,6 +126,10 @@ fn demo(events: u64) -> Result<Report, String> {
                 flush: FlushPolicy::EveryBatch,
                 ..StoreConfig::new(dir.clone())
             }),
+            // A small queue wedges the replay stream until the reader
+            // polls, so the mid-replay watermark holds still for the
+            // monitor instead of racing it.
+            queue_capacity: 32,
             ..ServConfig::default()
         },
     )
@@ -163,11 +167,15 @@ fn demo(events: u64) -> Result<Report, String> {
     }
 
     // Reader: replay everything from offset 0 on its own thread so the
-    // monitor below can watch the watermark drain concurrently.
+    // monitor below can watch the watermark drain concurrently. It starts
+    // polling only once the monitor has sampled a nonzero lag, so the
+    // watermark is seen mid-replay however fast replay runs.
     let stop = Arc::new(AtomicBool::new(false));
+    let lag_seen = Arc::new(AtomicBool::new(false));
     let delivered = Arc::new(AtomicU64::new(0));
     let reader = {
         let stop = stop.clone();
+        let lag_seen = lag_seen.clone();
         let delivered = delivered.clone();
         let schema = schema.clone();
         std::thread::spawn(move || {
@@ -177,6 +185,9 @@ fn demo(events: u64) -> Result<Report, String> {
             client
                 .subscribe_from(chan, &schema, 0)
                 .expect("subscribe_from");
+            while !lag_seen.load(Ordering::Relaxed) && !stop.load(Ordering::Relaxed) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
             while !stop.load(Ordering::Relaxed) {
                 if let Ok(Some(_)) = client.poll(Duration::from_millis(20)) {
                     delivered.fetch_add(1, Ordering::Relaxed);
@@ -201,10 +212,16 @@ fn demo(events: u64) -> Result<Report, String> {
             max_lag,
             max_queue,
         });
+        if max_lag > 0 {
+            lag_seen.store(true, Ordering::Relaxed);
+        }
+        // The replay thread records its finish after the last event
+        // leaves, so wait for that too rather than race it.
         let caught_up = !snap.lags.is_empty()
             && max_lag == 0
             && max_queue == 0
-            && delivered.load(Ordering::Relaxed) >= events;
+            && delivered.load(Ordering::Relaxed) >= events
+            && snap.flight.iter().any(|ev| ev.kind == FL_REPLAY_FINISH);
         if caught_up {
             break snap;
         }

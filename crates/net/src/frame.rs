@@ -35,13 +35,14 @@
 //! [`FrameHeader::parse`] and [`FrameHeader::verify`] are the only code
 //! that knows the header layout.
 //!
-//! The codec is transport-agnostic over `std::io` streams and is
-//! timeout-aware: with a read timeout armed on the underlying socket,
-//! [`read_frame`] returns [`FrameError::Timeout`] *only* when it fires
-//! before the first byte of a frame. Once a header byte has arrived the
-//! codec keeps reading until the frame completes — senders write frames
-//! atomically, so a partially received frame means bytes in flight, not an
-//! idle peer — which keeps the stream from desynchronizing on a timeout.
+//! Every session receiver — daemon reactor, mesh link, client — reads
+//! through [`FrameDecoder`], which reassembles frames from whatever each
+//! `read` delivers and so can give up at a deadline in the middle of a
+//! frame without losing sync. [`read_frame`] is the blocking one-shot
+//! reader for capture files and test peers. With a read timeout armed it
+//! returns [`FrameError::Timeout`] *only* when the timeout fires before
+//! the first byte of a frame; once a byte has arrived it reads until the
+//! frame completes.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -104,10 +105,7 @@ impl Frame {
     }
 }
 
-/// The fixed-size part of a frame, decoded. [`read_frame_header`] +
-/// [`read_frame_body`] let callers place the body in storage of their
-/// choosing (a pooled scratch buffer, a reused receive buffer) instead of
-/// a fresh allocation per frame.
+/// The fixed-size part of a frame, decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameHeader {
     /// Frame kind.
@@ -345,7 +343,7 @@ pub fn write_frames(w: &mut impl Write, frames: &[Frame]) -> io::Result<usize> {
 /// fires before a frame begins, and [`FrameError::Closed`] on EOF at a
 /// frame boundary. Once the first byte has arrived the frame is read to
 /// completion, so a mid-header EOF is an [`FrameError::Io`] error.
-pub fn read_frame_header(r: &mut impl Read) -> Result<FrameHeader, FrameError> {
+fn read_frame_header(r: &mut impl Read) -> Result<FrameHeader, FrameError> {
     // First byte separately: a timeout or EOF *here* is an idle peer or a
     // clean close, not a protocol error.
     let mut first = [0u8; 1];
@@ -368,66 +366,18 @@ pub fn read_frame_header(r: &mut impl Read) -> Result<FrameHeader, FrameError> {
     Ok(header)
 }
 
-/// Read and throw away the `len`-byte body that follows a
-/// [`read_frame_header`] — the recovery path for a frame the session
-/// refuses to buffer (e.g. one whose announced length exceeds the
-/// receiver's budget): the stream stays in sync without the receiver
-/// ever allocating proportionally to the hostile length field.
-///
-/// Timeouts are retried only while the drain makes progress. A long run
-/// of zero-progress timeouts means the announced bytes are not coming —
-/// a desynced stream (the length field itself was damaged) or a stalled
-/// hostile peer — and the drain gives up with [`FrameError::Timeout`] so
-/// the caller can tear the connection down instead of blocking forever.
-pub fn discard_frame_body(r: &mut impl Read, len: usize) -> Result<(), FrameError> {
-    const STALL_LIMIT: u32 = 20;
-    let mut chunk = [0u8; 4096];
-    let mut remaining = len;
-    let mut stalled = 0u32;
-    while remaining > 0 {
-        let want = remaining.min(chunk.len());
-        match r.read(&mut chunk[..want]) {
-            Ok(0) => {
-                return Err(FrameError::Io(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                )))
-            }
-            Ok(n) => {
-                remaining -= n;
-                stalled = 0;
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) if is_timeout(&e) => {
-                stalled += 1;
-                if stalled >= STALL_LIMIT {
-                    return Err(FrameError::Timeout);
-                }
-            }
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    net_metrics().bytes_in.add(len as u64);
-    Ok(())
-}
-
 /// Read the body announced by `header` (from [`read_frame_header`]) into
-/// `buf` (cleared, then filled to exactly `header.len`; its capacity is
-/// reused), then verify the frame's checksum.
+/// `buf` (cleared, then filled to exactly `header.len`), then verify the
+/// frame's checksum.
 ///
-/// The length is re-validated against [`MAX_FRAME_BODY`] here, *before*
-/// any allocation, so the bound holds even for callers that construct a
-/// [`FrameHeader`] themselves rather than going through
-/// [`read_frame_header`] — a hostile 4-byte length field can never drive
-/// a proportional allocation.
-///
-/// The body is read through `Read::take` + `read_to_end` into the cleared
-/// vector, so reused capacity is *not* redundantly zero-filled before being
-/// overwritten — on the steady-state receive path that removed a memset of
-/// every frame body. Timeouts and interrupts mid-body are retried just as
-/// [`read_full`] would: partial data read before the error stays appended
-/// and the `take` limit accounts for it.
-pub fn read_frame_body(
+/// The length is re-validated against [`MAX_FRAME_BODY`] *before* any
+/// allocation, so a hand-built [`FrameHeader`] cannot drive a proportional
+/// allocation either. The body is read through `Read::take` +
+/// `read_to_end`, so `buf` is not zero-filled before being overwritten.
+/// Timeouts and interrupts mid-body are retried just as [`read_full`]
+/// would: partial data read before the error stays appended and the
+/// `take` limit accounts for it.
+fn read_frame_body(
     r: &mut impl Read,
     header: &FrameHeader,
     buf: &mut Vec<u8>,
@@ -463,17 +413,8 @@ pub fn read_frame_body(
     header.verify(buf).inspect_err(|_| m.frames_corrupt.inc())
 }
 
-/// Read one frame, placing its body in `buf` — the steady-state receive
-/// path: callers that cycle `buf` through a pool (or just keep it) decode
-/// an unbounded frame stream with no per-frame allocation.
-pub fn read_frame_into(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<FrameHeader, FrameError> {
-    let header = read_frame_header(r)?;
-    read_frame_body(r, &header, buf)?;
-    Ok(header)
-}
-
 /// Read one frame from `r` into an owned [`Frame`] (allocates a fresh
-/// shared body per call; hot receive loops use [`read_frame_into`]).
+/// shared body per call; receive loops use [`FrameDecoder`]).
 ///
 /// Timeout semantics are those of [`read_frame_header`].
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
@@ -500,22 +441,21 @@ const DECODE_SCRATCH: usize = 64 * 1024;
 /// consumed prefix grow without bound.
 const COMPACT_THRESHOLD: usize = 16 * 1024;
 
-/// Incremental frame decoder for nonblocking streams.
+/// Incremental frame decoder: the one way sessions read frames.
 ///
-/// The blocking read path ([`read_frame`]) can simply block until a frame
-/// completes; a readiness loop cannot — a wakeup delivers *some* bytes,
-/// which may be half a header, three frames and a tail, or the middle of
-/// a body. `FrameDecoder` owns that reassembly: [`fill`](Self::fill)
-/// moves whatever the socket has into an internal buffer, and
+/// A read — a readiness wakeup on a nonblocking socket, or a blocking read
+/// that hit its timeout — delivers *some* bytes, which may be half a
+/// header, three frames and a tail, or the middle of a body.
+/// `FrameDecoder` owns that reassembly: [`fill`](Self::fill) moves
+/// whatever the socket has into an internal buffer, and
 /// [`next`](Self::next) yields complete frames from it until it runs dry.
 ///
-/// Error recovery mirrors the blocking path's session semantics: a
-/// [`FrameError::Corrupt`] frame is consumed (the stream stays in sync —
-/// framing is still trustworthy, the CRC just failed) and decoding
-/// continues with the next frame; a [`FrameError::TooLarge`] header arms
-/// an internal skip state so the announced body is discarded as it
-/// arrives without ever being buffered — the nonblocking equivalent of
-/// [`discard_frame_body`].
+/// Error recovery keeps the session alive: a [`FrameError::Corrupt`]
+/// frame is consumed (the stream stays in sync — framing is still
+/// trustworthy, the CRC just failed) and decoding continues with the next
+/// frame; a [`FrameError::TooLarge`] header arms an internal skip state so
+/// the announced body is discarded as it arrives without ever being
+/// buffered.
 #[derive(Debug)]
 pub struct FrameDecoder {
     scratch: Box<[u8]>,
@@ -524,6 +464,8 @@ pub struct FrameDecoder {
     pos: usize,
     /// Remaining body bytes of an oversized frame to discard on arrival.
     skip: u64,
+    /// Length of the body `next` last yielded, which ends at `pos`.
+    last_len: usize,
 }
 
 impl Default for FrameDecoder {
@@ -540,6 +482,7 @@ impl FrameDecoder {
             buf: Vec::new(),
             pos: 0,
             skip: 0,
+            last_len: 0,
         }
     }
 
@@ -556,6 +499,7 @@ impl FrameDecoder {
     /// an armed oversized-frame skip are discarded here and still count
     /// toward the return value.
     pub fn fill(&mut self, r: &mut impl Read) -> io::Result<usize> {
+        self.last_len = 0;
         let n = loop {
             match r.read(&mut self.scratch) {
                 Ok(n) => break n,
@@ -597,6 +541,7 @@ impl FrameDecoder {
     // and errors are in-band — the signature cannot be `Option<Item>`.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<(FrameHeader, &[u8])>, FrameError> {
+        self.last_len = 0;
         let avail = self.buf.len() - self.pos;
         if avail < FRAME_HEADER_SIZE {
             return Ok(None);
@@ -631,10 +576,17 @@ impl FrameDecoder {
         m.frames_in.inc();
         m.bytes_in.add((FRAME_HEADER_SIZE + header.len) as u64);
         checked.inspect_err(|_| m.frames_corrupt.inc())?;
-        Ok(Some((
-            header,
-            &self.buf[body_start..body_start + header.len],
-        )))
+        self.last_len = header.len;
+        Ok(Some((header, &self.buf[body_start..self.pos])))
+    }
+
+    /// The body of the frame the last [`next`](Self::next) call yielded,
+    /// still in place in the decoder's buffer; empty once `fill` or `next`
+    /// runs again. For a receive loop that handles some frames itself and
+    /// returns the rest: it lets go of `next`'s borrow to keep looping,
+    /// and its caller views the body here without a copy.
+    pub fn last_body(&self) -> &[u8] {
+        &self.buf[self.pos - self.last_len..self.pos]
     }
 }
 
@@ -790,6 +742,13 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    /// The blocking reader's two steps, into a caller-owned buffer.
+    fn read_into(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<FrameHeader, FrameError> {
+        let header = read_frame_header(r)?;
+        read_frame_body(r, &header, buf)?;
+        Ok(header)
+    }
+
     #[test]
     fn round_trip() {
         let frames = [
@@ -866,11 +825,11 @@ mod tests {
         write_frame(&mut wire, &Frame::with_body(0x22, 5, 6, vec![9u8; 8])).unwrap();
         let mut r = Cursor::new(wire);
         let mut buf = Vec::new();
-        let h1 = read_frame_into(&mut r, &mut buf).unwrap();
+        let h1 = read_into(&mut r, &mut buf).unwrap();
         assert_eq!((h1.kind, h1.a, h1.b, h1.len), (0x21, 3, 4, 64));
         assert_eq!(buf, vec![7u8; 64]);
         let cap = buf.capacity();
-        let h2 = read_frame_into(&mut r, &mut buf).unwrap();
+        let h2 = read_into(&mut r, &mut buf).unwrap();
         assert_eq!((h2.kind, h2.len), (0x22, 8));
         assert_eq!(buf, vec![9u8; 8]);
         assert_eq!(buf.capacity(), cap, "smaller body reuses the allocation");
@@ -909,12 +868,12 @@ mod tests {
         let mut buf = Vec::new();
         // The header's first byte surfaces the timeout (idle peer)…
         assert!(matches!(
-            read_frame_into(&mut r, &mut buf),
+            read_into(&mut r, &mut buf),
             Err(FrameError::Timeout)
         ));
         // …after which the frame reads to completion through every
         // mid-header and mid-body timeout.
-        let h = read_frame_into(&mut r, &mut buf).unwrap();
+        let h = read_into(&mut r, &mut buf).unwrap();
         assert_eq!((h.kind, h.len), (0x21, 100));
         assert_eq!(buf, (0u8..100).collect::<Vec<u8>>());
     }
@@ -929,11 +888,11 @@ mod tests {
         write_frame(&mut wire, &Frame::control(0x23, 0, 0)).unwrap();
         let mut r = Cursor::new(wire);
         let mut buf = Vec::new();
-        read_frame_into(&mut r, &mut buf).unwrap();
+        read_into(&mut r, &mut buf).unwrap();
         assert_eq!(buf, vec![0xAAu8; 300]);
-        read_frame_into(&mut r, &mut buf).unwrap();
+        read_into(&mut r, &mut buf).unwrap();
         assert_eq!(buf, vec![0x55u8; 5]);
-        let h = read_frame_into(&mut r, &mut buf).unwrap();
+        let h = read_into(&mut r, &mut buf).unwrap();
         assert_eq!(h.len, 0);
         assert!(buf.is_empty(), "zero-length body clears the buffer");
     }
@@ -1055,19 +1014,6 @@ mod tests {
     }
 
     #[test]
-    fn discard_skips_the_body_and_resyncs() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &Frame::with_body(0x21, 1, 2, vec![0xEE; 5000])).unwrap();
-        write_frame(&mut wire, &Frame::control(0x22, 3, 4)).unwrap();
-        let mut r = Cursor::new(wire);
-        let h = read_frame_header(&mut r).unwrap();
-        assert_eq!(h.len, 5000);
-        discard_frame_body(&mut r, h.len).unwrap();
-        let next = read_frame(&mut r).unwrap();
-        assert_eq!((next.kind, next.a, next.b), (0x22, 3, 4));
-    }
-
-    #[test]
     fn truncated_mid_frame_is_io_error() {
         let mut wire = Vec::new();
         write_frame(&mut wire, &Frame::with_body(0x11, 1, 2, b"abcdef".to_vec())).unwrap();
@@ -1167,6 +1113,25 @@ mod tests {
                 assert_eq!((h.kind, h.a, h.b), (0x22, 5, 6));
             }
         }
+    }
+
+    #[test]
+    fn last_body_is_the_yielded_body_until_the_decoder_moves() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Frame::with_body(0x21, 1, 2, b"first".to_vec())).unwrap();
+        write_frame(&mut wire, &Frame::with_body(0x22, 3, 4, b"second".to_vec())).unwrap();
+        wire.extend_from_slice(&[0x23, 0, 0]); // the start of a third frame
+        let mut dec = FrameDecoder::new();
+        assert!(dec.last_body().is_empty());
+        dec.fill(&mut Cursor::new(wire)).unwrap();
+        let (h, _) = dec.next().unwrap().expect("first frame");
+        assert_eq!((h.kind, dec.last_body()), (0x21, &b"first"[..]));
+        dec.next().unwrap().expect("second frame");
+        assert_eq!(dec.last_body(), b"second");
+        dec.fill(&mut Cursor::new(Vec::new())).unwrap();
+        assert!(dec.last_body().is_empty(), "a fill moves the decoder");
+        assert!(dec.next().unwrap().is_none(), "third frame is incomplete");
+        assert!(dec.last_body().is_empty());
     }
 
     #[test]

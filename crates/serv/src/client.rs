@@ -13,6 +13,16 @@
 //!   homogeneous publisher/subscriber pairs stay zero-copy, heterogeneous
 //!   pairs get a DCG conversion compiled on first contact with the format.
 //!
+//! Every received frame comes through one loop, `ServClient::recv`: the
+//! blocking socket read into the [`FrameDecoder`] the daemon and mesh
+//! links use, one read per call under a timeout armed to the caller's
+//! deadline, so a frame stalled halfway waits in the decoder instead of
+//! holding the caller. Control frames are handled there once; corrupt
+//! and oversized frames are counted and skipped; an event's payload is
+//! viewed (or converted) where it lies in the decoder's buffer. Events
+//! that race an acknowledged request wait in a bounded queue instead.
+//! Each publish is one borrowed `writev`.
+//!
 //! With [`ClientConfig::resume`] enabled the session is **fault
 //! tolerant**: a broken connection flips the client into an outage state
 //! instead of erroring, publishes buffer locally (bounded, drop-oldest,
@@ -24,19 +34,19 @@
 //! beyond the counters and the latency.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pbio::{BufPool, PbioError, PooledBuf, Reader, RecordView};
+use pbio::{BufPool, PbioError, Reader, RecordView};
 use pbio_chan::filter::Predicate;
 use pbio_chan::wire::serialize_predicate;
+use pbio_net::buf::WireBuf;
 use pbio_net::clock::ClockSync;
 use pbio_net::frame::{
-    discard_frame_body, read_frame, read_frame_body, read_frame_header, write_frame_raw, Frame,
-    FrameError, FRAME_HEADER_SIZE,
+    write_frame_raw, Frame, FrameDecoder, FrameError, FrameHeader, FRAME_HEADER_SIZE,
 };
 use pbio_obs::export::{
     hop_schema, hop_value, snapshot_from_value, stats_schema, stats_value, topo_from_value,
@@ -213,16 +223,13 @@ impl Default for ClientConfig {
     }
 }
 
-/// Receive-buffer size: large enough that one of the daemon's coalesced
-/// write batches arrives in a single read syscall.
-const READ_BUF_SIZE: usize = 64 * 1024;
-
 /// A blocking connection to a [`crate::ServDaemon`].
 pub struct ServClient {
-    /// Write half (and the socket handle timeouts are armed on).
+    /// The socket: blocking, one fd, written frame by frame.
     stream: TcpStream,
-    /// Buffered read half of the same socket.
-    rx: BufReader<TcpStream>,
+    /// Reassembles the frames read off `stream`; bodies are viewed in
+    /// place in its buffer.
+    dec: FrameDecoder,
     profile: ArchProfile,
     reader: Reader,
     /// Daemon-global format id -> this client's native layout (for
@@ -230,12 +237,13 @@ pub struct ServClient {
     formats: HashMap<u32, Arc<Layout>>,
     /// Frames that arrived while awaiting an acknowledgement.
     pending: VecDeque<Frame>,
-    /// Scratch pool: frame bodies and value-encoding buffers cycle
-    /// through it, so the steady-state decode path never allocates.
+    /// Scratch pool: trailer-stamped publishes and value encodings cycle
+    /// through it.
     pool: Arc<BufPool>,
-    /// Body of the event currently viewed (zero-copy views borrow it);
-    /// returns to the pool when the next event replaces it.
-    event_buf: PooledBuf,
+    /// Body of the frame being served from `pending` (a zero-copy view
+    /// of a raced event borrows it); `None` while frames come straight
+    /// from the decoder.
+    raced: Option<WireBuf>,
     timeout: Duration,
     next_token: u32,
     /// Daemon-assigned connection id (from the HELLO ack) — stamps this
@@ -369,9 +377,7 @@ impl ServClient {
             .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "no address"))?;
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let rx = BufReader::with_capacity(READ_BUF_SIZE, stream.try_clone()?);
         let pool = BufPool::new();
-        let event_buf = pool.get(0);
         let registry = Arc::new(Registry::new());
         let metrics = ClientMetrics::resolve(&registry);
         // Adopt the pool's counters so the registry reads them through.
@@ -379,13 +385,13 @@ impl ServClient {
         registry.register_counter("pool_misses", pool.miss_counter().clone());
         let mut client = ServClient {
             stream,
-            rx,
+            dec: FrameDecoder::new(),
             profile: profile.clone(),
             reader: Reader::new(profile),
             formats: HashMap::new(),
             pending: VecDeque::new(),
             pool,
-            event_buf,
+            raced: None,
             timeout: DEFAULT_TIMEOUT,
             next_token: 0,
             conn_id: 0,
@@ -618,8 +624,8 @@ impl ServClient {
     fn reconnect_now(&mut self) -> Result<(), ServError> {
         let stream = TcpStream::connect(self.addr)?;
         stream.set_nodelay(true)?;
-        self.rx = BufReader::with_capacity(READ_BUF_SIZE, stream.try_clone()?);
         self.stream = stream;
+        self.dec = FrameDecoder::new();
         self.pending.clear();
         self.handshake()?;
         if !self.resume_on {
@@ -756,23 +762,30 @@ impl ServClient {
             return Ok(());
         }
         let deadline = Instant::now() + self.timeout;
-        loop {
-            if self.reconnect_if_due() {
-                return Ok(());
-            }
-            let now = Instant::now();
-            if now >= deadline {
+        while !self.reconnect_if_due() {
+            if !self.nap_until_retry(deadline) {
                 return Err(ServError::Timeout);
             }
-            let wait = self
-                .outage
-                .as_ref()
-                .map(|o| o.next_try.saturating_duration_since(now))
-                .unwrap_or_default()
-                .min(deadline - now)
-                .max(MIN_TIMEOUT);
-            std::thread::sleep(wait);
         }
+        Ok(())
+    }
+
+    /// Sleep toward the next reconnect attempt, bounded by `deadline`
+    /// instead of spinning; `false` once the deadline has passed.
+    fn nap_until_retry(&self, deadline: Instant) -> bool {
+        let now = Instant::now();
+        if now >= deadline {
+            return false;
+        }
+        let wait = self
+            .outage
+            .as_ref()
+            .map(|o| o.next_try.saturating_duration_since(now))
+            .unwrap_or_default()
+            .min(deadline - now)
+            .max(MIN_TIMEOUT);
+        std::thread::sleep(wait);
+        true
     }
 
     /// Subscribe to a channel. `schema` declares the record this
@@ -968,18 +981,18 @@ impl ServClient {
     pub fn poll(&mut self, timeout: Duration) -> Result<Option<Event<'_>>, ServError> {
         let deadline = Instant::now() + timeout;
         loop {
-            let Some((kind, a, b, body)) = self.next_frame(deadline)? else {
+            let Some((kind, a, b)) = self.next_frame(deadline)? else {
                 return Ok(None);
             };
             match kind {
                 K_ANNOUNCE => {
-                    self.note_wire_format(a, &body);
-                    self.reader.on_format(a, &body)?;
+                    self.reader
+                        .on_format(a, frame_body(&self.raced, &self.dec))?;
                 }
                 K_EVENT => {
                     // The reader runs on wire ids (announcements carry
                     // them); the caller sees its stable public ids.
-                    let (format, channel, format_pub, offset) = self.take_event(a, b, body)?;
+                    let (format, len, channel, format_pub, offset) = self.take_event(a, b)?;
                     let zero_copy = self.reader.is_zero_copy(format);
                     if zero_copy {
                         self.metrics.zero_copy_events.inc();
@@ -988,7 +1001,8 @@ impl ServClient {
                     }
                     let convert_hist = (!zero_copy).then(|| self.metrics.convert_ns.clone());
                     let _span = convert_hist.as_ref().map(|h| Span::enter(h));
-                    let view = self.reader.on_data(format, &self.event_buf)?;
+                    let payload = &frame_body(&self.raced, &self.dec)[..len];
+                    let view = self.reader.on_data(format, payload)?;
                     return Ok(Some(Event {
                         channel,
                         format: format_pub,
@@ -996,16 +1010,9 @@ impl ServClient {
                         view,
                     }));
                 }
-                K_ERROR => {
-                    return Err(ServError::Remote {
-                        code: a,
-                        message: String::from_utf8_lossy(&body).into_owned(),
-                    })
-                }
                 other => {
-                    return Err(ServError::Protocol(format!(
-                        "unexpected frame kind {other:#04x} while polling"
-                    )))
+                    let body = frame_body(&self.raced, &self.dec);
+                    return Err(unexpected(other, a, body, "while polling"));
                 }
             }
         }
@@ -1017,13 +1024,14 @@ impl ServClient {
     pub fn poll_raw(&mut self, timeout: Duration) -> Result<Option<RawEvent<'_>>, ServError> {
         let deadline = Instant::now() + timeout;
         loop {
-            let Some((kind, a, b, body)) = self.next_frame(deadline)? else {
+            let Some((kind, a, b)) = self.next_frame(deadline)? else {
                 return Ok(None);
             };
             match kind {
-                K_ANNOUNCE => self.note_wire_format(a, &body),
+                // `recv` noted the layout when the frame arrived.
+                K_ANNOUNCE => {}
                 K_EVENT => {
-                    let (format, channel, format_pub, offset) = self.take_event(a, b, body)?;
+                    let (format, len, channel, format_pub, offset) = self.take_event(a, b)?;
                     let Some(layout) = self.wire_layouts.get(&format).cloned() else {
                         return Err(ServError::Protocol(format!(
                             "event for unannounced format {format}"
@@ -1034,133 +1042,110 @@ impl ServClient {
                         format: format_pub,
                         offset,
                         layout,
-                        bytes: &self.event_buf,
+                        bytes: &frame_body(&self.raced, &self.dec)[..len],
                     }));
                 }
-                K_ERROR => {
-                    return Err(ServError::Remote {
-                        code: a,
-                        message: String::from_utf8_lossy(&body).into_owned(),
-                    })
-                }
                 other => {
-                    return Err(ServError::Protocol(format!(
-                        "unexpected frame kind {other:#04x} while polling"
-                    )))
+                    let body = frame_body(&self.raced, &self.dec);
+                    return Err(unexpected(other, a, body, "while polling"));
                 }
             }
         }
     }
 
-    /// Next frame as `(kind, a, b, body)`, from the pending queue or the
-    /// socket; `None` once `deadline` passes. One frame per call: the
-    /// steady state (frames read off the socket, bodies cycling through
-    /// the pool) allocates nothing.
-    ///
-    /// Damaged input is survived rather than surfaced: oversized frames
-    /// are drained and skipped, checksum failures are skipped (the body
-    /// was consumed in full, so the stream stays in sync), and — with
-    /// resume negotiated — a dead socket flips into the outage state and
-    /// this keeps driving the reconnect schedule until `deadline`.
-    fn next_frame(
-        &mut self,
-        deadline: Instant,
-    ) -> Result<Option<(u8, u32, u32, PooledBuf)>, ServError> {
+    /// The next frame [`ServClient::poll`] and [`ServClient::poll_raw`]
+    /// see, as `(kind, a, b)`: one that raced an acknowledgement first,
+    /// else the socket's. Its body is [`frame_body`]. With resume
+    /// negotiated, a dead socket is an outage that [`ServClient::recv`]
+    /// keeps reconnecting until `deadline`.
+    fn next_frame(&mut self, deadline: Instant) -> Result<Option<(u8, u32, u32)>, ServError> {
+        self.raced = None;
         if let Some(f) = self.pending.pop_front() {
-            let mut buf = self.pool.get(f.body.len());
-            buf.extend_from_slice(&f.body);
-            return Ok(Some((f.kind, f.a, f.b, buf)));
+            self.raced = Some(f.body);
+            return Ok(Some((f.kind, f.a, f.b)));
         }
+        let resume = self.resume_on;
+        Ok(self.recv(deadline, resume)?.map(|h| (h.kind, h.a, h.b)))
+    }
+
+    /// The client's one receive loop: the header of the next frame off
+    /// the socket that the caller must see, its body left in place as
+    /// [`FrameDecoder::last_body`]; `None` once `deadline` passes.
+    ///
+    /// A frame already in the decoder costs no syscall. Otherwise the
+    /// socket's read timeout is armed to what is left of `deadline` and
+    /// one read is made, so a frame that stalls halfway cannot hold the
+    /// caller past its deadline: the decoder keeps the partial bytes for
+    /// the next call. Pings are answered, pongs dropped, publish acks
+    /// and announced layouts noted here, once for every caller. Corrupt
+    /// and oversized frames are counted in
+    /// [`ClientStats::frames_rejected`] and skipped; the decoder stays in
+    /// sync. A lost connection is an outage when `resume` is set — this
+    /// then sleeps and redials on the backoff schedule until `deadline`
+    /// — and an error otherwise.
+    fn recv(&mut self, deadline: Instant, resume: bool) -> Result<Option<FrameHeader>, ServError> {
         loop {
-            if self.outage.is_some() && !self.reconnect_if_due() {
-                // Disconnected with the next attempt still scheduled:
-                // sleep toward it (bounded by the caller's deadline)
-                // instead of spinning.
-                let now = Instant::now();
-                if now >= deadline {
+            if resume && self.outage.is_some() && !self.reconnect_if_due() {
+                if !self.nap_until_retry(deadline) {
                     return Ok(None);
                 }
-                let wait = self
-                    .outage
-                    .as_ref()
-                    .map(|o| o.next_try.saturating_duration_since(now))
-                    .unwrap_or_default()
-                    .min(deadline - now)
-                    .max(MIN_TIMEOUT);
-                std::thread::sleep(wait);
                 continue;
             }
-            // Arm the socket timeout only when the next read will actually
-            // hit the socket; frames already sitting in the receive buffer
-            // cost no syscalls at all.
-            if self.rx.buffer().is_empty() {
-                let now = Instant::now();
-                if now >= deadline {
-                    return Ok(None);
-                }
-                self.stream
-                    .set_read_timeout(Some((deadline - now).max(MIN_TIMEOUT)))?;
-            }
-            let header = match read_frame_header(&mut self.rx) {
-                Ok(h) => h,
-                Err(FrameError::Timeout) => return Ok(None),
-                Err(FrameError::TooLarge(len)) => {
-                    // Hostile length field: drain without allocating
-                    // proportionally, count, and stay in the session. A
-                    // drain that fails (EOF, or a zero-progress stall —
-                    // the stream is desynced and the bytes are never
-                    // coming) means the connection is unusable: an
-                    // outage for a resume client, an error otherwise.
-                    match discard_frame_body(&mut self.rx, len) {
-                        Ok(()) => {
-                            self.metrics.frames_rejected.inc();
-                            continue;
+            let next = self.dec.next().map(|f| f.map(|(h, _)| h));
+            match next {
+                Ok(Some(h)) => {
+                    self.metrics
+                        .bytes_in
+                        .add((FRAME_HEADER_SIZE + h.len) as u64);
+                    match h.kind {
+                        // Liveness probes are answered even mid-request:
+                        // a client blocked in a long call must not look
+                        // dead to the daemon.
+                        K_PING => self.send_raw(K_PONG, h.a, 0, &[])?,
+                        K_PONG => {}
+                        K_PUBLISH_ACK => {
+                            let last = self.dec.last_body().get(..8).map(|b| {
+                                u64::from_be_bytes(b.try_into().expect("an 8-byte slice"))
+                            });
+                            self.note_publish_ack(h.a, h.b, last);
                         }
-                        Err(_) if self.resume_on => {
-                            self.mark_outage();
-                            continue;
+                        K_ANNOUNCE => {
+                            // Noted at once, so a reply that depends on it
+                            // (K_STATS_ACK) decodes even while the frame
+                            // itself waits in `pending`.
+                            if let Ok(layout) = deserialize_layout(self.dec.last_body()) {
+                                self.wire_layouts.insert(h.a, Arc::new(layout));
+                            }
+                            return Ok(Some(h));
                         }
-                        Err(e) => return Err(e.into()),
+                        _ => return Ok(Some(h)),
                     }
-                }
-                Err(e) if self.resume_on && is_disconnect_frame(&e) => {
-                    self.mark_outage();
                     continue;
                 }
-                Err(e) => return Err(e.into()),
-            };
-            let mut buf = self.pool.get(header.len);
-            match read_frame_body(&mut self.rx, &header, &mut buf) {
-                Ok(()) => {}
-                Err(FrameError::Corrupt { .. }) => {
+                Ok(None) => {}
+                Err(_) => {
                     self.metrics.frames_rejected.inc();
                     continue;
                 }
-                Err(e) if self.resume_on && is_disconnect_frame(&e) => {
-                    self.mark_outage();
-                    continue;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return Ok(None);
+            }
+            self.stream
+                .set_read_timeout(Some((deadline - now).max(MIN_TIMEOUT)))?;
+            let lost = match self.dec.fill(&mut self.stream) {
+                Ok(0) => ServError::Frame(FrameError::Closed),
+                Ok(_) => continue,
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    continue
                 }
-                Err(e) => return Err(e.into()),
+                Err(e) => ServError::Io(e),
+            };
+            if !resume {
+                return Err(lost);
             }
-            self.metrics
-                .bytes_in
-                .add((FRAME_HEADER_SIZE + header.len) as u64);
-            // Liveness probes are answered transparently from the poll
-            // loop — a subscriber that never publishes still pongs.
-            if header.kind == K_PING {
-                self.send_raw(K_PONG, header.a, 0, &[])?;
-                continue;
-            }
-            if header.kind == K_PONG {
-                continue;
-            }
-            // Durability acks are bookkeeping, not payload: count them
-            // and keep polling.
-            if header.kind == K_PUBLISH_ACK {
-                self.note_publish_ack(header.a, header.b, &buf);
-                continue;
-            }
-            return Ok(Some((header.kind, header.a, header.b, buf)));
+            self.mark_outage();
         }
     }
 
@@ -1171,12 +1156,12 @@ impl ServClient {
         *e = (*e).max(offset);
     }
 
-    /// Account one [`K_PUBLISH_ACK`]: `b` events on (wire) channel `a`
-    /// became durable, the last at the offset in the body.
-    fn note_publish_ack(&mut self, wire_chan: u32, count: u32, body: &[u8]) {
+    /// Account one [`K_PUBLISH_ACK`]: `count` events on (wire) channel
+    /// `wire_chan` became durable, the last at offset `last` (from the
+    /// body).
+    fn note_publish_ack(&mut self, wire_chan: u32, count: u32, last: Option<u64>) {
         self.metrics.publishes_acked.add(u64::from(count));
-        if body.len() >= 8 {
-            let last = u64::from_be_bytes(body[..8].try_into().unwrap());
+        if let Some(last) = last {
             let public = self
                 .chan_from_wire
                 .get(&wire_chan)
@@ -1187,39 +1172,29 @@ impl ServClient {
         }
     }
 
-    /// Remember the wire layout an ANNOUNCE carried (undecodable metadata
-    /// is left for [`pbio::Reader::on_format`] to report).
-    fn note_wire_format(&mut self, format: u32, meta: &[u8]) {
-        if let Ok(layout) = deserialize_layout(meta) {
-            self.wire_layouts.insert(format, Arc::new(layout));
-        }
-    }
-
     /// The `K_EVENT` prologue [`ServClient::poll`] and
-    /// [`ServClient::poll_raw`] share: strip the trailers, note the
-    /// offset, park the payload in `event_buf` (returning the previous
-    /// event's buffer to the pool) and stamp the decode hop. Returns the
-    /// wire format id, then the public channel, format and the offset.
+    /// [`ServClient::poll_raw`] share: split the trailers off the body,
+    /// note the offset and stamp the decode hop. Returns the wire format
+    /// id and payload length, then the public channel, format and the
+    /// offset. The payload stays where it is: [`frame_body`]`[..len]`.
     fn take_event(
         &mut self,
         a: u32,
         b: u32,
-        mut body: PooledBuf,
-    ) -> Result<(u32, u32, u32, Option<u64>), ServError> {
+    ) -> Result<(u32, usize, u32, u32, Option<u64>), ServError> {
         self.metrics.events.inc();
-        let ev = split_event(b, &body).map_err(|e| ServError::Protocol(e.to_string()))?;
+        let ev = split_event(b, frame_body(&self.raced, &self.dec))
+            .map_err(|e| ServError::Protocol(e.to_string()))?;
         let (format, len, Trailers { trace, offset }) = (ev.format, ev.payload.len(), ev.trailers);
-        body.truncate(len);
         let channel = self.chan_from_wire.get(&a).copied().unwrap_or(a);
         let format_pub = self.fmt_from_wire.get(&format).copied().unwrap_or(format);
         if let Some(off) = offset {
             self.note_offset(channel, off);
         }
-        self.event_buf = body;
         if let Some(ctx) = trace.filter(TraceCtx::sampled) {
             self.record_decode_hop(channel, &ctx);
         }
-        Ok((format, channel, format_pub, offset))
+        Ok((format, len, channel, format_pub, offset))
     }
 
     /// Stamp the final hop of a traced event: it reached this subscriber
@@ -1493,39 +1468,32 @@ impl ServClient {
 
     /// Graceful disconnect: announce departure and wait for the daemon's
     /// acknowledgement (bounded by the client timeout), so queued frames
-    /// are flushed on both sides before the socket closes.
+    /// are flushed on both sides before the socket closes. A connection
+    /// the daemon has already closed (say, after evicting this client)
+    /// counts as disconnected.
     pub fn disconnect(mut self) -> Result<(), ServError> {
         self.send_raw(K_BYE, 0, 0, &[])?;
         let deadline = Instant::now() + self.timeout;
         loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(ServError::Timeout);
-            }
-            self.stream
-                .set_read_timeout(Some((deadline - now).max(MIN_TIMEOUT)))?;
-            match read_frame(&mut self.rx) {
-                Ok(f) if f.kind == K_BYE_ACK => return Ok(()),
-                // Late events/announcements/probes racing the goodbye:
+            let h = match self.recv(deadline, false) {
+                Ok(Some(h)) => h,
+                Ok(None) => return Err(ServError::Timeout),
+                Err(e) if is_disconnect(&e) => return Ok(()),
+                Err(e) => return Err(e),
+            };
+            match h.kind {
+                K_BYE_ACK => return Ok(()),
+                // Late events and announcements racing the goodbye:
                 // discard.
-                Ok(f)
-                    if matches!(
-                        f.kind,
-                        K_EVENT | K_ANNOUNCE | K_PING | K_PONG | K_PUBLISH_ACK
-                    ) =>
-                {
-                    continue
+                K_EVENT | K_ANNOUNCE => {}
+                other => {
+                    return Err(unexpected(
+                        other,
+                        h.a,
+                        self.dec.last_body(),
+                        "during disconnect",
+                    ))
                 }
-                Ok(f) if f.kind == K_ERROR => return Err(remote_error(&f)),
-                Ok(f) => {
-                    return Err(ServError::Protocol(format!(
-                        "unexpected frame kind {:#04x} during disconnect",
-                        f.kind
-                    )))
-                }
-                Err(FrameError::Timeout) => continue,
-                Err(FrameError::Closed) => return Ok(()),
-                Err(e) => return Err(e.into()),
             }
         }
     }
@@ -1546,45 +1514,18 @@ impl ServClient {
     fn await_ack(&mut self, kind: u8, token: u32) -> Result<Frame, ServError> {
         let deadline = Instant::now() + self.timeout;
         loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(ServError::Timeout);
+            let h = self.recv(deadline, false)?.ok_or(ServError::Timeout)?;
+            let f = Frame::with_body(h.kind, h.a, h.b, WireBuf::copy_from(self.dec.last_body()));
+            if f.kind == kind && f.a == token {
+                return Ok(f);
             }
-            self.stream
-                .set_read_timeout(Some((deadline - now).max(MIN_TIMEOUT)))?;
-            match read_frame(&mut self.rx) {
-                Ok(f) => {
-                    self.metrics
-                        .bytes_in
-                        .add((FRAME_HEADER_SIZE + f.body.len()) as u64);
-                    if f.kind == kind && f.a == token {
-                        return Ok(f);
-                    }
-                    match f.kind {
-                        // Note announced layouts immediately, so a reply
-                        // that depends on one (K_STATS_ACK) can decode
-                        // even though the frame itself is only buffered.
-                        K_ANNOUNCE => {
-                            self.note_wire_format(f.a, &f.body);
-                            self.pending.push_back(f);
-                        }
-                        K_EVENT => self.buffer_event(f),
-                        // Liveness probes are answered even mid-request:
-                        // a client blocked in a long await must not look
-                        // dead to the daemon.
-                        K_PING => self.send_raw(K_PONG, f.a, 0, &[])?,
-                        K_PONG => {}
-                        K_PUBLISH_ACK => self.note_publish_ack(f.a, f.b, &f.body),
-                        K_ERROR => return Err(remote_error(&f)),
-                        other => {
-                            return Err(ServError::Protocol(format!(
-                                "expected frame kind {kind:#04x}, got {other:#04x}",
-                            )))
-                        }
-                    }
+            match f.kind {
+                K_ANNOUNCE => self.pending.push_back(f),
+                K_EVENT => self.buffer_event(f),
+                other => {
+                    let context = format!("while awaiting {kind:#04x}");
+                    return Err(unexpected(other, f.a, &f.body, &context));
                 }
-                Err(FrameError::Timeout) => continue,
-                Err(e) => return Err(e.into()),
             }
         }
     }
@@ -1622,11 +1563,27 @@ impl ServClient {
     }
 }
 
-fn remote_error(frame: &Frame) -> ServError {
-    ServError::Remote {
-        code: frame.a,
-        message: String::from_utf8_lossy(&frame.body).into_owned(),
+/// The body of the frame [`ServClient::next_frame`] returned: a raced
+/// frame's own buffer, else the decoder's. A free function over the two
+/// fields, so the body can be borrowed beside `&mut` the reader.
+fn frame_body<'a>(raced: &'a Option<WireBuf>, dec: &'a FrameDecoder) -> &'a [u8] {
+    match raced {
+        Some(body) => body,
+        None => dec.last_body(),
     }
+}
+
+/// The error for a frame the caller had no use for: the daemon's own
+/// [`K_ERROR`] (code in `a`, message in the body) as
+/// [`ServError::Remote`], any other kind as a protocol error.
+fn unexpected(kind: u8, a: u32, body: &[u8], context: &str) -> ServError {
+    if kind == K_ERROR {
+        return ServError::Remote {
+            code: a,
+            message: String::from_utf8_lossy(body).into_owned(),
+        };
+    }
+    ServError::Protocol(format!("unexpected frame kind {kind:#04x} {context}"))
 }
 
 /// A process-unique resume identity: wall clock, a per-process sequence,
@@ -1651,13 +1608,8 @@ fn splitmix64(mut z: u64) -> u64 {
 /// violation or a caller mistake — only these flip a resuming client
 /// into the outage state.
 fn is_disconnect(e: &ServError) -> bool {
-    match e {
-        ServError::Io(_) => true,
-        ServError::Frame(f) => is_disconnect_frame(f),
-        _ => false,
-    }
-}
-
-fn is_disconnect_frame(e: &FrameError) -> bool {
-    matches!(e, FrameError::Closed | FrameError::Io(_))
+    matches!(
+        e,
+        ServError::Io(_) | ServError::Frame(FrameError::Closed | FrameError::Io(_))
+    )
 }

@@ -1800,6 +1800,10 @@ impl MeshHost for State {
     fn relay_hop(&self, ctx: &TraceCtx, chan: u32, peer: u32) {
         self.hops.push(ctx.hop(HOP_RELAY, peer, chan, epoch_ns()));
     }
+
+    fn frame_rejected(&self) {
+        self.metrics.frames_rejected.inc();
+    }
 }
 
 /// The event-channel daemon. Binding spawns the accept loop and the

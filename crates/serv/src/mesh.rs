@@ -43,6 +43,7 @@
 //! backlog exactly once.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::io::ErrorKind;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
@@ -52,7 +53,7 @@ use std::time::{Duration, Instant};
 
 use pbio_net::buf::WireBuf;
 use pbio_net::dial::backoff_delay;
-use pbio_net::frame::{read_frame, write_frame, Frame, FrameHeader, WriteBatch};
+use pbio_net::frame::{write_frame, Frame, FrameDecoder, FrameHeader, WriteBatch};
 use pbio_obs::{epoch_ns, TraceCtx};
 use pbio_types::arch::ArchProfile;
 
@@ -144,6 +145,8 @@ pub(crate) trait MeshHost: Send + Sync {
     /// Record a [`HOP_RELAY`](pbio_obs::HOP_RELAY) trace hop against
     /// `peer`'s link.
     fn relay_hop(&self, ctx: &TraceCtx, chan: u32, peer: u32);
+    /// Count one corrupt or oversized frame a peer sent.
+    fn frame_rejected(&self);
 }
 
 /// A publish bound for its channel's home daemon.
@@ -333,7 +336,7 @@ const TICK: Duration = Duration::from_millis(1);
 /// Dial backoff bounds.
 const BACKOFF_MIN: Duration = Duration::from_millis(10);
 const BACKOFF_MAX: Duration = Duration::from_millis(500);
-/// Handshake frame-read timeout.
+/// Deadline for the peer's `HELLO_ACK`, however its bytes trickle in.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Idle time before the link probes the peer with `K_PING`.
 const PING_IDLE: Duration = Duration::from_secs(2);
@@ -358,7 +361,7 @@ struct LinkCtx {
 /// ids are meaningless across that peer's restarts.
 struct Session {
     stream: TcpStream,
-    dec: pbio_net::frame::FrameDecoder,
+    dec: FrameDecoder,
     outq: VecDeque<Frame>,
     /// The head of `outq` in the act of being written: headers encoded,
     /// partial-write offset kept.
@@ -403,7 +406,7 @@ fn link_loop(ctx: LinkCtx) {
             std::thread::sleep(TICK);
             continue;
         }
-        let Some(stream) = dial_handshake(&ctx) else {
+        let Some((stream, dec)) = dial_handshake(&ctx) else {
             if ctx.shutdown.load(Ordering::SeqCst) {
                 return;
             }
@@ -436,7 +439,7 @@ fn link_loop(ctx: LinkCtx) {
         ctx.shared.connects.fetch_add(1, Ordering::Relaxed);
         let mut s = Session {
             stream,
-            dec: pbio_net::frame::FrameDecoder::new(),
+            dec,
             outq: VecDeque::new(),
             batch: WriteBatch::new(),
             chan_peer: HashMap::new(),
@@ -514,14 +517,16 @@ fn park(ctx: &LinkCtx, pending: &mut VecDeque<Forward>, fwd: Forward) {
 /// One dial-and-handshake attempt, offering
 /// `CAP_PEER | CAP_TRACE | CAP_DURABLE` (trace and durability so event
 /// trailers cross the link intact). `None` means the attempt failed —
-/// peer unreachable, handshake error, or `CAP_PEER` refused — and the
-/// caller owns the backoff (it keeps absorbing mail while waiting).
-fn dial_handshake(ctx: &LinkCtx) -> Option<TcpStream> {
+/// peer unreachable, handshake error or stall past [`HANDSHAKE_TIMEOUT`],
+/// or `CAP_PEER` refused — and the caller owns the backoff (it keeps
+/// absorbing mail while waiting). The ack is read through the decoder
+/// the session goes on to use, so whatever the peer sent after it stays
+/// buffered.
+fn dial_handshake(ctx: &LinkCtx) -> Option<(TcpStream, FrameDecoder)> {
     if ctx.shutdown.load(Ordering::SeqCst) || ctx.shared.partitioned.load(Ordering::Acquire) {
         return None;
     }
     let mut stream = dial_once(&ctx.addr)?;
-    let _ = stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT));
     let offered = CAP_PEER | CAP_TRACE | CAP_DURABLE;
     let hello = Frame::with_body(
         K_HELLO,
@@ -532,11 +537,26 @@ fn dial_handshake(ctx: &LinkCtx) -> Option<TcpStream> {
     if write_frame(&mut stream, &hello).is_err() {
         return None;
     }
-    let ack = read_frame(&mut stream).ok()?;
-    if ack.kind != K_HELLO_ACK || ack.body.len() < 4 {
-        return None;
-    }
-    let granted = u32::from_be_bytes(ack.body[..4].try_into().ok()?);
+    let deadline = Instant::now() + HANDSHAKE_TIMEOUT;
+    let mut dec = FrameDecoder::new();
+    let granted = loop {
+        if let Some((ack, body)) = dec.next().ok()? {
+            if ack.kind != K_HELLO_ACK || body.len() < 4 {
+                return None;
+            }
+            break u32::from_be_bytes(body[..4].try_into().ok()?);
+        }
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return None;
+        }
+        match dec.fill(&mut stream) {
+            Ok(0) => return None,
+            Ok(_) => {}
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(_) => return None,
+        }
+    };
     if granted & CAP_PEER == 0 {
         // Not a mesh daemon (or an old one): the caller's backoff keeps
         // us from spinning against it.
@@ -544,7 +564,7 @@ fn dial_handshake(ctx: &LinkCtx) -> Option<TcpStream> {
     }
     let _ = stream.set_read_timeout(None);
     stream.set_nonblocking(true).ok()?;
-    Some(stream)
+    Some((stream, dec))
 }
 
 /// One bounded, immediate dial attempt.
@@ -584,37 +604,22 @@ fn run_session(
                 Err(std::sync::mpsc::TryRecvError::Disconnected) => return false,
             }
         }
-        // 2. Reads: pull frames until the socket runs dry (bounded per
-        // tick), processing as we go — acks here resolve id maps.
+        // 2. Reads: dispatch what the decoder already holds (on a fresh
+        // session, whatever followed the HELLO ack), then pull frames
+        // until the socket runs dry (bounded per tick), processing as we
+        // go — acks here resolve id maps.
+        resolved |= dispatch_buffered(ctx, s, subs);
         let mut dead = false;
         for _ in 0..MAX_FILLS {
             match s.dec.fill(&mut s.stream) {
-                Ok(0) => {
-                    dead = true;
-                    break;
-                }
-                Ok(_) => {
+                Ok(n) if n > 0 => {
                     s.last_rx = Instant::now();
                     ctx.shared.last_rx_ns.store(epoch_ns(), Ordering::Relaxed);
-                    loop {
-                        match s.dec.next() {
-                            Ok(Some((header, body))) => {
-                                let body = WireBuf::copy_from(body);
-                                if handle_peer_frame(ctx, s, subs, &header, body) {
-                                    resolved = true;
-                                }
-                            }
-                            Ok(None) => break,
-                            Err(_) => {
-                                // Corrupt frame: the decoder already
-                                // resynced; skip it.
-                                break;
-                            }
-                        }
-                    }
+                    resolved |= dispatch_buffered(ctx, s, subs);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => {
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                // EOF or a hard error.
+                _ => {
                     dead = true;
                     break;
                 }
@@ -673,6 +678,24 @@ fn run_session(
             }
         } else {
             std::thread::sleep(TICK);
+        }
+    }
+}
+
+/// Handle every complete frame the decoder holds. A corrupt or
+/// oversized frame is counted and skipped: the decoder has already
+/// resynced, so the frames behind it are handled now rather than left
+/// waiting for more bytes. Returns true when an id map gained an entry.
+fn dispatch_buffered(ctx: &LinkCtx, s: &mut Session, subs: &HashMap<Arc<str>, u32>) -> bool {
+    let mut resolved = false;
+    loop {
+        match s.dec.next() {
+            Ok(Some((header, body))) => {
+                let body = WireBuf::copy_from(body);
+                resolved |= handle_peer_frame(ctx, s, subs, &header, body);
+            }
+            Ok(None) => return resolved,
+            Err(_) => ctx.host.frame_rejected(),
         }
     }
 }
@@ -792,20 +815,12 @@ fn handle_peer_frame(
             }
             true
         }
-        // The peer's gossip push (its local id in `a`): register the
-        // layout here; dedup makes re-receipt free, and the shared id
-        // maps gain both directions without an ack round trip.
-        K_FORMAT => {
-            if let Some((local, _fresh)) = ctx.host.register_meta(&body) {
-                s.fmt_rev.insert(header.a, local);
-                s.fmt_peer.insert(local, header.a);
-                return true;
-            }
-            false
-        }
-        // Announce preceding a relayed event's first use of a format on
-        // this connection.
-        K_ANNOUNCE => {
+        // The peer's gossip push, or the announce preceding a relayed
+        // event's first use of a format on this connection (the peer's
+        // id in `a`): register the layout here; dedup makes re-receipt
+        // free, and the id maps gain both directions without a round
+        // trip.
+        K_FORMAT | K_ANNOUNCE => {
             if let Some((local, _fresh)) = ctx.host.register_meta(&body) {
                 s.fmt_rev.insert(header.a, local);
                 s.fmt_peer.insert(local, header.a);

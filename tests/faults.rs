@@ -9,21 +9,25 @@
 //! silently wrong record.
 
 use std::io::{Cursor, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
 use pbio_net::fault::{FaultLog, FaultPlan, FaultyStream};
 use pbio_net::frame::{
-    crc32, read_frame, write_frame_raw, FrameError, FRAME_HEADER_SIZE, MAX_FRAME_BODY,
+    crc32, read_frame, write_frame, write_frame_raw, Frame, FrameError, FRAME_HEADER_SIZE,
+    MAX_FRAME_BODY,
 };
 use pbio_serv::protocol::{
-    E_PROTOCOL, K_CHANNEL, K_CHANNEL_ACK, K_ERROR, K_HELLO, K_HELLO_ACK, K_PUBLISH, K_SUBSCRIBE,
-    K_SUBSCRIBE_ACK, PROTOCOL_VERSION,
+    E_PROTOCOL, K_ANNOUNCE, K_CHANNEL, K_CHANNEL_ACK, K_ERROR, K_EVENT, K_FORMAT, K_FORMAT_ACK,
+    K_HELLO, K_HELLO_ACK, K_PUBLISH, K_SUBSCRIBE, K_SUBSCRIBE_ACK, PROTOCOL_VERSION,
 };
 use pbio_serv::{ClientConfig, ServClient, ServConfig, ServDaemon, TraceConfig};
 use pbio_types::arch::ArchProfile;
+use pbio_types::layout::Layout;
+use pbio_types::meta::serialize_layout;
 use pbio_types::schema::{AtomType, FieldDecl, Schema, TypeDesc};
 use pbio_types::value::{RecordValue, Value};
 
@@ -676,4 +680,141 @@ fn seeded_fault_matrix_workload_never_corrupts_delivered_events() {
         poll_errors,
     );
     daemon.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Hostile daemons: the client's receive path against a fake daemon that
+// stalls mid-frame, corrupts a frame racing an ack, or announces an
+// impossible body.
+
+/// Format id the fake daemons announce the tick layout under.
+const FAKE_FMT: u32 = 4;
+
+/// A fake daemon: accept one client, ack its HELLO with no capabilities,
+/// then hand the socket to `script`.
+fn fake_daemon(
+    script: impl FnOnce(TcpStream) + Send + 'static,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        assert_eq!(read_frame(&mut s).unwrap().kind, K_HELLO);
+        write_frame(&mut s, &Frame::control(K_HELLO_ACK, PROTOCOL_VERSION, 1)).unwrap();
+        script(s);
+    });
+    (addr, server)
+}
+
+/// The tick layout's announcement and one record of it, both as wire
+/// bytes from the fake daemon.
+fn announced_tick() -> (Vec<u8>, Vec<u8>) {
+    let layout = Layout::of(&tick_schema(), &ArchProfile::X86_64).unwrap();
+    let record: Vec<u8> = (0..layout.size() as u8).collect();
+    let mut wire = Vec::new();
+    let announce = Frame::with_body(K_ANNOUNCE, FAKE_FMT, 0, serialize_layout(&layout));
+    write_frame(&mut wire, &announce).unwrap();
+    (wire, record)
+}
+
+/// A frame that stalls halfway cannot hold `poll_raw` past its deadline,
+/// and the bytes already read are kept: once the rest arrives, the next
+/// poll delivers the event intact.
+#[test]
+fn poll_returns_at_its_deadline_when_a_frame_stalls_halfway() {
+    let (mut wire, record) = announced_tick();
+    let event_at = wire.len();
+    write_frame(
+        &mut wire,
+        &Frame::with_body(K_EVENT, 1, FAKE_FMT, record.clone()),
+    )
+    .unwrap();
+    let (go_on, resume) = mpsc::channel::<()>();
+    let (addr, server) = fake_daemon(move |mut s| {
+        s.write_all(&wire[..event_at + 5]).unwrap();
+        resume.recv().unwrap();
+        s.write_all(&wire[event_at + 5..]).unwrap();
+        let _ = read_frame(&mut s);
+    });
+    let mut client = ServClient::connect(addr, &ArchProfile::X86_64).unwrap();
+    let (done, returned) = mpsc::channel();
+    let poller = std::thread::spawn(move || {
+        let polled = client
+            .poll_raw(Duration::from_millis(100))
+            .map(|e| e.is_none());
+        done.send(polled.is_ok_and(|none| none)).unwrap();
+        client
+    });
+    let timed_out_cleanly = returned
+        .recv_timeout(Duration::from_secs(2))
+        .expect("poll_raw overstayed its 100 ms deadline on a stalled frame");
+    assert!(
+        timed_out_cleanly,
+        "poll_raw returned Ok(None) at the deadline"
+    );
+    let mut client = poller.join().unwrap();
+    go_on.send(()).unwrap();
+    let ev = client
+        .poll_raw(Duration::from_secs(5))
+        .unwrap()
+        .expect("the completed event");
+    assert_eq!((ev.channel, ev.format), (1, FAKE_FMT));
+    assert_eq!(ev.bytes, &record[..], "delivered byte for byte");
+    drop(client);
+    server.join().unwrap();
+}
+
+/// A corrupt frame that races an acknowledgement is counted and skipped:
+/// the request still completes.
+#[test]
+fn corrupt_frame_racing_an_ack_is_skipped() {
+    let (addr, server) = fake_daemon(|mut s| {
+        let request = read_frame(&mut s).unwrap();
+        assert_eq!(request.kind, K_FORMAT);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Frame::with_body(K_EVENT, 1, 2, vec![7u8; 16])).unwrap();
+        wire[FRAME_HEADER_SIZE + 3] ^= 0x01;
+        write_frame(&mut wire, &Frame::control(K_FORMAT_ACK, request.a, 7)).unwrap();
+        s.write_all(&wire).unwrap();
+        let _ = read_frame(&mut s);
+    });
+    let mut client = ServClient::connect(addr, &ArchProfile::X86_64).unwrap();
+    assert_eq!(client.register_format(&tick_schema()).unwrap(), 7);
+    assert_eq!(client.stats().frames_rejected, 1);
+    drop(client);
+    server.join().unwrap();
+}
+
+/// A header announcing more than [`MAX_FRAME_BODY`] bytes during a poll:
+/// the client discards the body as it streams past without buffering it,
+/// counts the frame, and delivers the good event behind it.
+#[test]
+fn oversized_frame_during_poll_is_skipped() {
+    let (announce, record) = announced_tick();
+    let expected = record.clone();
+    let (addr, server) = fake_daemon(move |mut s| {
+        s.write_all(&announce).unwrap();
+        let hostile = MAX_FRAME_BODY + 1;
+        s.write_all(&raw_frame(K_EVENT, 1, FAKE_FMT, hostile as u32, 0))
+            .unwrap();
+        let chunk = vec![0u8; 64 * 1024];
+        let mut remaining = hostile;
+        while remaining > 0 {
+            let n = remaining.min(chunk.len());
+            s.write_all(&chunk[..n]).unwrap();
+            remaining -= n;
+        }
+        write_frame(&mut s, &Frame::with_body(K_EVENT, 1, FAKE_FMT, record)).unwrap();
+        let _ = read_frame(&mut s);
+    });
+    let mut client = ServClient::connect(addr, &ArchProfile::X86_64).unwrap();
+    let ev = client
+        .poll_raw(Duration::from_secs(20))
+        .unwrap()
+        .expect("the event behind the oversized frame");
+    assert_eq!(ev.bytes, &expected[..]);
+    assert_eq!(client.stats().frames_rejected, 1);
+    drop(client);
+    server.join().unwrap();
 }

@@ -8,6 +8,7 @@
 //! like the CI fault matrix does).
 
 use std::collections::HashMap;
+use std::io::{ErrorKind, Write};
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
@@ -428,17 +429,26 @@ fn short_relayed_event_is_rejected_and_the_link_survives() {
                     write_frame(&mut s, &Frame::control(K_CHANNEL_ACK, f.a, PEER_CHAN)).unwrap()
                 }
                 K_SUBSCRIBE if f.a == PEER_CHAN => {
-                    let events = [
+                    let frames = [
                         Frame::with_body(K_FORMAT, PEER_FMT, 0, meta.clone()),
                         // Flags an 8-byte offset trailer on a 3-byte body.
                         Frame::with_body(K_EVENT, PEER_CHAN, PEER_FMT | OFFSET_FLAG, vec![1u8; 3]),
                         // No trailers, but short of the 8-byte layout.
                         Frame::with_body(K_EVENT, PEER_CHAN, PEER_FMT, vec![2u8; 3]),
+                        // Well formed, but damaged in flight: a bad CRC.
+                        Frame::with_body(K_EVENT, PEER_CHAN, PEER_FMT, ev_bytes(7).to_vec()),
                         Frame::with_body(K_EVENT, PEER_CHAN, PEER_FMT, ev_bytes(42).to_vec()),
                     ];
-                    for f in &events {
-                        write_frame(&mut s, f).unwrap();
+                    // One write: the link reads every frame in one go, so
+                    // the good event sits behind the bad one in its buffer.
+                    let mut wire = Vec::new();
+                    for (i, f) in frames.iter().enumerate() {
+                        write_frame(&mut wire, f).unwrap();
+                        if i == 3 {
+                            *wire.last_mut().unwrap() ^= 0x01;
+                        }
                     }
+                    s.write_all(&wire).unwrap();
                 }
                 _ => {}
             }
@@ -463,9 +473,56 @@ fn short_relayed_event_is_rejected_and_the_link_survives() {
         ev_bytes(42),
         "the first delivery is the well-formed event"
     );
-    assert_eq!(d0.stats().frames_rejected, 2, "both short events counted");
+    assert_eq!(
+        d0.stats().frames_rejected,
+        3,
+        "both short events and the bad-CRC frame counted"
+    );
     let link = d0.peer_stats();
     assert!(link.iter().any(|p| p.peer == 1 && p.connected));
     d0.shutdown();
     fake_home.join().unwrap();
+}
+
+/// A peer that stalls halfway through its `HELLO_ACK` is given up on at
+/// the handshake deadline and redialed; the link thread never hangs.
+#[test]
+fn peer_stalling_mid_handshake_is_redialed() {
+    let peer = TcpListener::bind("127.0.0.1:0").unwrap();
+    let d0 = ServDaemon::bind_with("127.0.0.1:0", mesh_config(0, 2)).unwrap();
+    assert!(d0.connect_peer(1, peer.local_addr().unwrap().to_string()));
+    let (mut first, _) = peer.accept().unwrap();
+    first
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    assert_eq!(read_frame(&mut first).unwrap().kind, K_HELLO);
+    let mut granted = (CAP_PEER | CAP_TRACE | CAP_DURABLE).to_be_bytes().to_vec();
+    granted.extend_from_slice(&[0; 12]);
+    let mut ack = Vec::new();
+    write_frame(
+        &mut ack,
+        &Frame::with_body(K_HELLO_ACK, PROTOCOL_VERSION, 1, granted),
+    )
+    .unwrap();
+    first.write_all(&ack[..5]).unwrap();
+    let stalled_at = Instant::now();
+    // The 5 s handshake deadline, the 0.5 s backoff ceiling, and 2 s of
+    // slack.
+    let budget = Duration::from_millis(7_500);
+    peer.set_nonblocking(true).unwrap();
+    let redial = loop {
+        match peer.accept() {
+            Ok((s, _)) => break s,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                assert!(
+                    stalled_at.elapsed() < budget,
+                    "no redial within {budget:?} of the stall"
+                );
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Err(e) => panic!("accept failed: {e}"),
+        }
+    };
+    drop((redial, first));
+    d0.shutdown();
 }
