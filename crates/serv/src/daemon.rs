@@ -3705,6 +3705,132 @@ mod tests {
         assert!(out.pop().is_none());
     }
 
+    /// A log to hang test [`AppendReq`]s on; the queue never touches it.
+    fn scratch_log(tag: &str) -> (std::path::PathBuf, Arc<ChannelLog>) {
+        let dir = std::env::temp_dir().join(format!(
+            "pbio-storeq-{tag}-{}-{}",
+            std::process::id(),
+            epoch_ns()
+        ));
+        let log = Store::open(StoreConfig::new(&dir))
+            .and_then(|s| s.channel("c"))
+            .unwrap();
+        (dir, log)
+    }
+
+    fn append_req(log: &Arc<ChannelLog>, offset: u64) -> AppendReq {
+        AppendReq {
+            log: log.clone(),
+            chan: 0,
+            offset,
+            format: 0,
+            payload: WireBuf::from(vec![offset as u8]),
+            conn: Weak::new(),
+        }
+    }
+
+    fn offsets(reqs: &[AppendReq]) -> Vec<u64> {
+        reqs.iter().map(|r| r.offset).collect()
+    }
+
+    #[test]
+    fn store_queue_push_blocks_at_capacity_until_pop_batch_frees_space() {
+        let (dir, log) = scratch_log("block");
+        let q = Arc::new(StoreQueue::new(2));
+        q.push(append_req(&log, 0));
+        q.push(append_req(&log, 1));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let pusher = {
+            let (q, req) = (q.clone(), append_req(&log, 2));
+            std::thread::spawn(move || {
+                q.push(req);
+                done_tx.send(()).unwrap();
+            })
+        };
+        assert!(
+            done_rx.recv_timeout(Duration::from_millis(100)).is_err(),
+            "a push past capacity blocks"
+        );
+        let mut out = Vec::new();
+        assert!(q.pop_batch(&mut out, 1));
+        assert_eq!(offsets(&out), [0]);
+        done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("freed space wakes the blocked pusher");
+        pusher.join().unwrap();
+        out.clear();
+        assert!(q.pop_batch(&mut out, 8));
+        assert_eq!(offsets(&out), [1, 2], "FIFO across the wait");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn store_queue_close_wakes_a_blocked_pusher_and_the_popper() {
+        let (dir, log) = scratch_log("close");
+        // The popper waits on an empty queue.
+        let empty = Arc::new(StoreQueue::new(1));
+        let (pop_tx, pop_rx) = std::sync::mpsc::channel();
+        let popper = {
+            let q = empty.clone();
+            std::thread::spawn(move || {
+                let mut out = Vec::new();
+                pop_tx.send(q.pop_batch(&mut out, 8)).unwrap();
+            })
+        };
+        assert!(pop_rx.recv_timeout(Duration::from_millis(100)).is_err());
+        empty.close();
+        assert_eq!(
+            pop_rx.recv_timeout(Duration::from_secs(5)),
+            Ok(false),
+            "close ends an idle popper's wait"
+        );
+        popper.join().unwrap();
+        // The pusher waits on a full one.
+        let full = Arc::new(StoreQueue::new(1));
+        full.push(append_req(&log, 0));
+        let (push_tx, push_rx) = std::sync::mpsc::channel();
+        let pusher = {
+            let (q, req) = (full.clone(), append_req(&log, 1));
+            std::thread::spawn(move || {
+                q.push(req);
+                push_tx.send(()).unwrap();
+            })
+        };
+        assert!(push_rx.recv_timeout(Duration::from_millis(100)).is_err());
+        full.close();
+        push_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("close wakes a pusher blocked on a full queue");
+        pusher.join().unwrap();
+        let mut out = Vec::new();
+        assert!(full.pop_batch(&mut out, 8));
+        assert_eq!(
+            offsets(&out),
+            [0],
+            "the push refused by close is not queued"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn store_queue_pop_batch_ends_only_once_closed_and_drained() {
+        let (dir, log) = scratch_log("drain");
+        let q = StoreQueue::new(8);
+        for i in 0..3 {
+            q.push(append_req(&log, i));
+        }
+        q.close();
+        q.push(append_req(&log, 9));
+        let mut out = Vec::new();
+        assert!(q.pop_batch(&mut out, 2), "closed but not drained");
+        assert_eq!(offsets(&out), [0, 1]);
+        out.clear();
+        assert!(q.pop_batch(&mut out, 2));
+        assert_eq!(offsets(&out), [2], "a push after close was discarded");
+        assert!(!q.pop_batch(&mut out, 2), "closed and drained");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn open_channel_is_create_or_get() {
         let state = State::new(&ServConfig {

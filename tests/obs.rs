@@ -12,9 +12,10 @@ use std::time::{Duration, Instant};
 use pbio::Reader;
 use pbio_net::frame::{read_frame, write_frame_raw};
 use pbio_obs::export::{
-    snapshot_from_value, stats_schema, stats_value, StatsHeader, ROLE_CLIENT, ROLE_DAEMON,
+    hop_schema, hop_value, snapshot_from_value, stats_schema, stats_value, StatsHeader,
+    ROLE_CLIENT, ROLE_DAEMON,
 };
-use pbio_obs::Registry;
+use pbio_obs::{HistogramSnapshot, Registry, Snapshot, TraceHop, HOP_FLUSH};
 use pbio_serv::protocol::{
     E_PROTOCOL, K_CHANNEL, K_CHANNEL_ACK, K_ERROR, K_HELLO, K_HELLO_ACK, PROTOCOL_VERSION,
 };
@@ -505,4 +506,54 @@ fn consumer_lag_watermarks_converge_across_shards() {
     }
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Golden wire images of the records the bounded buffers carry: a change
+/// to how a queue holds them must never change what reaches the wire.
+/// Each is pinned as its length plus a CRC-32 of the native x86-64 image.
+fn golden(value: &RecordValue, schema: &Schema) -> (usize, u32) {
+    let layout = Layout::of(schema, &ArchProfile::X86_64).unwrap();
+    let bytes = encode_native(value, &layout).unwrap();
+    (bytes.len(), pbio_net::crc::crc32(&bytes))
+}
+
+#[test]
+fn golden_trace_hop_record() {
+    let hop = TraceHop {
+        trace_id: 0x0123_4567_89ab_cdef,
+        span_id: 7,
+        hop: HOP_FLUSH,
+        conn: 42,
+        channel: 3,
+        t_ns: 1_000_000_123,
+        dur_ns: 4_567,
+    };
+    let got = golden(&hop_value(&hop), &hop_schema());
+    assert_eq!(got, (40, 2_338_268_018));
+}
+
+#[test]
+fn golden_stats_record() {
+    let mut h = HistogramSnapshot {
+        count: 3,
+        sum: 70_800,
+        ..HistogramSnapshot::default()
+    };
+    h.buckets[10] = 1;
+    h.buckets[16] = 2;
+    let snap = Snapshot {
+        counters: vec![("serv_events_in".into(), 12), ("serv_dropped".into(), 1)],
+        gauges: vec![("serv_connections".into(), -2)],
+        histograms: vec![("serv_fanout_ns".into(), h)],
+        traces: vec![("drop".into(), 1_000, 3), ("stats_tick".into(), 2_000, 4)],
+    };
+    let header = StatsHeader {
+        role: ROLE_DAEMON,
+        id: 9,
+        seq: 5,
+        t_ns: 123_456_789,
+        snapshot_ns: 987_654_321,
+    };
+    let got = golden(&stats_value(&header, &snap), &stats_schema(&snap));
+    assert_eq!(got, (1960, 1_545_545_255));
 }

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use pbio_serv::protocol::{E_PROTOCOL, K_EVENT, K_PUBLISH};
-use pbio_serv::tap::capture_layouts;
+use pbio_serv::tap::{capture_layouts, TapEntry, TAP_IN, TAP_OUT};
 use pbio_serv::{
     read_capture, replay_session, ClientConfig, ReplayOptions, ReplaySpeed, ServClient, ServConfig,
     ServDaemon, ServError, TapConfig, TapMode, TraceConfig,
@@ -349,4 +349,62 @@ fn fault_matrix_with_tap_enabled_never_captures_a_corrupt_frame_as_clean() {
         "seed {seed}: capture lost its format descriptions"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Golden capture records: one inbound publish and one outbound event,
+/// exact bytes (direction, timestamp, connection, then the frame's own
+/// header and body). A capture written today must read back tomorrow.
+#[test]
+fn golden_capture_records() {
+    let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+    let inbound = TapEntry {
+        t_ns: 0x0102_0304_0506_0708,
+        conn: 7,
+        dir: TAP_IN,
+        kind: K_PUBLISH,
+        a: 3,
+        b: 1,
+        body: vec![0xde, 0xad, 0xbe, 0xef].into(),
+    };
+    let outbound = TapEntry {
+        t_ns: 0x1112_1314_1516_1718,
+        conn: 9,
+        dir: TAP_OUT,
+        kind: K_EVENT,
+        a: 3,
+        b: 1,
+        body: vec![0xca, 0xfe].into(),
+    };
+    let mut buf = Vec::new();
+    inbound.encode_into(&mut buf);
+    assert_eq!(
+        hex(&buf),
+        concat!(
+            "00",               // dir
+            "0102030405060708", // t_ns
+            "00000007",         // conn
+            "20",               // kind, then a, b, len, crc
+            "00000003",
+            "00000001",
+            "00000004",
+            "e5a5614c",
+            "deadbeef", // body
+        )
+    );
+    buf.clear();
+    outbound.encode_into(&mut buf);
+    assert_eq!(
+        hex(&buf),
+        concat!(
+            "01",
+            "1112131415161718",
+            "00000009",
+            "21",
+            "00000003",
+            "00000001",
+            "00000002",
+            "b1ecbf95",
+            "cafe",
+        )
+    );
 }
