@@ -429,7 +429,7 @@ mod tests {
         use pbio_obs::{Registry, FLAG_SAMPLED};
 
         let reg = Registry::new();
-        let sink = Arc::new(TraceSink::new(16));
+        let sink = Arc::new(TraceSink::new(16, reg.counter("hops_dropped")));
         let mut fanout = Fanout::new();
         fanout.set_obs(FanoutObs {
             fanout_ns: reg.histogram("fanout_ns"),
@@ -475,7 +475,7 @@ mod tests {
         fanout.publish_traced(3, &wire, None).unwrap();
         let unsampled = TraceCtx { flags: 0, ..ctx };
         fanout.publish_traced(3, &wire, Some(&unsampled)).unwrap();
-        assert!(sink.is_empty());
+        assert!(sink.drain().is_empty());
         assert_eq!(fanout.get_mut(lo).unwrap().traced, 1);
     }
 

@@ -11,7 +11,9 @@
 //!   the `Arc` forever after (the hot path never touches the registry);
 //! * [`Span`] — RAII timer recording elapsed ns into a histogram on drop,
 //!   globally disableable via [`set_enabled`] for overhead comparisons;
-//! * [`TraceRing`] — preallocated bounded ring of recent trace events;
+//! * [`Bounded`] — the one bounded FIFO: capacity, overflow policy and
+//!   the `pushed == popped + dropped + len` drop accounting, stated once
+//!   for every queue and ring in the stack that can lose data;
 //! * [`TraceCtx`] / [`TraceHop`] / [`TraceSampler`] / [`TraceSink`] —
 //!   wire-propagated distributed tracing: a sampled publish carries a
 //!   compact context in a frame trailer, every stage re-stamps it into a
@@ -27,14 +29,15 @@
 //! into [`Registry::global`]; daemons and clients own per-instance
 //! registries so components sharing a process keep separate books.
 
+mod bounded;
 pub mod export;
 mod flight;
 mod metric;
 mod registry;
 mod span;
-mod trace;
 mod tracectx;
 
+pub use bounded::{Bounded, Counts, Overflow};
 pub use flight::{
     flight_kind_name, FlightEvent, FlightRecorder, FL_CONNECT, FL_EVICT, FL_FAULT, FL_PROTO_ERROR,
     FL_REPAIR, FL_REPLAY_FINISH, FL_REPLAY_START, FL_RESUME, FL_SHUTDOWN, FL_TAP_DROP,
@@ -47,7 +50,6 @@ pub use registry::{
     enabled, epoch_ns, labeled, labeled2, set_enabled, Registry, Snapshot, TRACE_EXPORT_CAP,
 };
 pub use span::Span;
-pub use trace::{TraceEvent, TraceRing};
 pub use tracectx::{
     hop_name, TraceCtx, TraceHop, TraceSampler, TraceSink, FLAG_SAMPLED, HOP_COUNT, HOP_DECODE,
     HOP_ENQUEUE, HOP_FILTER, HOP_FLUSH, HOP_INGRESS, HOP_PUBLISH, HOP_RELAY, HOP_REQUIRED,

@@ -9,8 +9,8 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::bounded::{Bounded, Overflow};
 use crate::metric::{Counter, Gauge, Histogram, HistogramSnapshot};
-use crate::trace::{TraceEvent, TraceRing};
 
 const REG_SHARDS: usize = 8;
 
@@ -54,7 +54,8 @@ impl Metric {
 /// A named collection of metrics plus a bounded trace ring.
 pub struct Registry {
     shards: [Mutex<Vec<(String, Metric)>>; REG_SHARDS],
-    trace: TraceRing,
+    /// The 256 most recent `(stage, at_ns, value)` events, oldest first.
+    trace: Mutex<Bounded<(&'static str, u64, u64)>>,
 }
 
 impl Default for Registry {
@@ -78,7 +79,7 @@ impl Registry {
     pub fn new() -> Registry {
         Registry {
             shards: std::array::from_fn(|_| Mutex::new(Vec::new())),
-            trace: TraceRing::new(256),
+            trace: Mutex::new(Bounded::new(256, Overflow::DropOldest)),
         }
     }
 
@@ -184,14 +185,11 @@ impl Registry {
         }
     }
 
-    /// Append an event to the bounded trace ring.
+    /// Append an event to the bounded trace ring, stamped with
+    /// [`epoch_ns`]; the oldest event is evicted when the ring is full.
     pub fn trace(&self, stage: &'static str, value: u64) {
-        self.trace.push(stage, value);
-    }
-
-    /// The most recent trace events, oldest first.
-    pub fn recent_traces(&self) -> Vec<TraceEvent> {
-        self.trace.recent()
+        let at_ns = epoch_ns();
+        self.trace.lock().unwrap().push((stage, at_ns, value));
     }
 
     /// A consistent-enough copy of every metric, sorted by name.
@@ -207,11 +205,12 @@ impl Registry {
                 }
             }
         }
-        let events = self.trace.recent();
+        let events = self.trace.lock().unwrap();
         let skip = events.len().saturating_sub(TRACE_EXPORT_CAP);
-        snap.traces = events[skip..]
+        snap.traces = events
             .iter()
-            .map(|e| (e.stage.to_owned(), e.at_ns, e.value))
+            .skip(skip)
+            .map(|&(stage, at_ns, value)| (stage.to_owned(), at_ns, value))
             .collect();
         snap.sort();
         snap

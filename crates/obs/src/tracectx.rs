@@ -12,9 +12,11 @@
 //! the decision is a single relaxed atomic load, so the tracing
 //! machinery costs the untraced hot path no allocation and no lock.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use crate::bounded::{Bounded, Overflow};
+use crate::metric::Counter;
 
 /// Byte length of the trace trailer carried on `PUBLISH`/`EVENT` frames:
 /// `trace_id:u64be  origin_ns:u64be  span_id:u32be  flags:u8  reserved[3]`.
@@ -221,54 +223,39 @@ pub struct TraceHop {
     pub dur_ns: u64,
 }
 
-/// A bounded buffer of completed [`TraceHop`]s awaiting export. Pushes
-/// past the capacity evict the oldest record (fresh data beats stale
-/// data, the same policy as the event queues the hops describe).
+/// A bounded buffer of completed [`TraceHop`]s awaiting export, shared
+/// by every tracing stage. Pushes past the capacity evict the oldest
+/// record (fresh data beats stale data, the same policy as the event
+/// queues the hops describe) and count it in the owner's counter.
 pub struct TraceSink {
-    hops: Mutex<VecDeque<TraceHop>>,
-    capacity: usize,
-    dropped: AtomicU64,
+    hops: Mutex<Bounded<TraceHop>>,
+    dropped: Arc<Counter>,
 }
 
 impl TraceSink {
-    /// A sink holding at most `capacity` hop records (min 1).
-    pub fn new(capacity: usize) -> TraceSink {
+    /// A sink holding at most `capacity` hop records (min 1), counting
+    /// evictions in `dropped`.
+    pub fn new(capacity: usize, dropped: Arc<Counter>) -> TraceSink {
         TraceSink {
-            hops: Mutex::new(VecDeque::new()),
-            capacity: capacity.max(1),
-            dropped: AtomicU64::new(0),
+            hops: Mutex::new(Bounded::new(capacity.max(1), Overflow::DropOldest)),
+            dropped,
         }
+    }
+
+    fn hops(&self) -> MutexGuard<'_, Bounded<TraceHop>> {
+        self.hops.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// Append a hop record, evicting the oldest when full.
     pub fn push(&self, hop: TraceHop) {
-        let mut hops = self.hops.lock().unwrap_or_else(|p| p.into_inner());
-        if hops.len() >= self.capacity {
-            hops.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        if self.hops().push(hop).is_some() {
+            self.dropped.inc();
         }
-        hops.push_back(hop);
     }
 
     /// Take every buffered hop record, oldest first.
     pub fn drain(&self) -> Vec<TraceHop> {
-        let mut hops = self.hops.lock().unwrap_or_else(|p| p.into_inner());
-        hops.drain(..).collect()
-    }
-
-    /// Number of buffered hop records.
-    pub fn len(&self) -> usize {
-        self.hops.lock().unwrap_or_else(|p| p.into_inner()).len()
-    }
-
-    /// Whether the sink is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Hop records evicted because the sink was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.hops().drain().collect()
     }
 }
 
@@ -346,17 +333,17 @@ mod tests {
 
     #[test]
     fn sink_bounds_and_drains() {
-        let sink = TraceSink::new(3);
+        let dropped = Arc::new(Counter::new());
+        let sink = TraceSink::new(3, dropped.clone());
         for i in 0..5u64 {
             sink.push(TraceHop {
                 trace_id: i,
                 ..TraceHop::default()
             });
         }
-        assert_eq!(sink.len(), 3);
-        assert_eq!(sink.dropped(), 2);
+        assert_eq!(dropped.get(), 2);
         let ids: Vec<u64> = sink.drain().iter().map(|h| h.trace_id).collect();
         assert_eq!(ids, [2, 3, 4]);
-        assert!(sink.is_empty());
+        assert!(sink.drain().is_empty());
     }
 }

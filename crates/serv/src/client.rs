@@ -33,7 +33,7 @@
 //! then flushes the buffered publishes — callers never see the outage
 //! beyond the counters and the latency.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,8 +53,8 @@ use pbio_obs::export::{
     StatsHeader, TopoSnapshot, ROLE_CLIENT,
 };
 use pbio_obs::{
-    epoch_ns, Counter, Histogram, Registry, Snapshot, Span, TraceCtx, TraceHop, TraceSampler,
-    TraceSink, HOP_DECODE,
+    epoch_ns, Bounded, Counter, Histogram, Overflow, Registry, Snapshot, Span, TraceCtx, TraceHop,
+    TraceSampler, TraceSink, HOP_DECODE,
 };
 use pbio_types::arch::ArchProfile;
 use pbio_types::layout::Layout;
@@ -236,7 +236,7 @@ pub struct ServClient {
     /// encoding values to publish).
     formats: HashMap<u32, Arc<Layout>>,
     /// Frames that arrived while awaiting an acknowledgement.
-    pending: VecDeque<Frame>,
+    pending: Bounded<Frame>,
     /// Scratch pool: trailer-stamped publishes and value encodings cycle
     /// through it.
     pool: Arc<BufPool>,
@@ -298,7 +298,7 @@ pub struct ServClient {
     outage: Option<Outage>,
     /// Publishes buffered during an outage (public channel + format ids,
     /// native bytes), drained oldest-first after a successful resume.
-    outage_buf: VecDeque<(u32, u32, Vec<u8>)>,
+    outage_buf: Bounded<(u32, u32, Vec<u8>)>,
     /// Format registrations in order, by public id, for session replay
     /// (the layout itself lives in `formats`).
     journal_formats: Vec<u32>,
@@ -389,7 +389,9 @@ impl ServClient {
             profile: profile.clone(),
             reader: Reader::new(profile),
             formats: HashMap::new(),
-            pending: VecDeque::new(),
+            pending: Bounded::with_exempt(MAX_PENDING_EVENTS, Overflow::DropOldest, |f| {
+                f.kind == K_EVENT
+            }),
             pool,
             raced: None,
             timeout: DEFAULT_TIMEOUT,
@@ -403,18 +405,18 @@ impl ServClient {
             caps: 0,
             clock: ClockSync::identity(),
             sampler: TraceSampler::new(0),
-            trace_hops: Arc::new(TraceSink::new(TRACE_SINK_CAPACITY)),
+            trace_hops: Arc::new(TraceSink::new(TRACE_SINK_CAPACITY, Arc::default())),
             chan_names: HashMap::new(),
             decode_hists: HashMap::new(),
             drop_counters: HashMap::new(),
             trace_format: None,
+            outage_buf: Bounded::new(config.outage_buffer, Overflow::DropOldest),
             config,
             addr,
             client_id: fresh_client_id(),
             epoch: 0,
             resume_on: false,
             outage: None,
-            outage_buf: VecDeque::new(),
             journal_formats: Vec::new(),
             journal_channels: Vec::new(),
             journal_subs: Vec::new(),
@@ -626,7 +628,7 @@ impl ServClient {
         stream.set_nodelay(true)?;
         self.stream = stream;
         self.dec = FrameDecoder::new();
-        self.pending.clear();
+        self.pending.drain().for_each(drop);
         self.handshake()?;
         if !self.resume_on {
             return Err(ServError::Protocol(
@@ -684,18 +686,14 @@ impl ServClient {
         Ok(())
     }
 
-    /// Replay buffered publishes oldest-first. On failure the unsent
-    /// entry goes back to the front — nothing is lost to a reconnect that
-    /// itself dies mid-flush.
+    /// Replay buffered publishes oldest-first. An entry leaves the
+    /// buffer only once sent — nothing is lost to a reconnect that itself
+    /// dies mid-flush.
     fn flush_outage(&mut self) -> Result<(), ServError> {
-        while let Some((channel, format, native)) = self.outage_buf.pop_front() {
-            match self.send_publish(channel, format, &native) {
-                Ok(()) => self.metrics.buffered_replayed.inc(),
-                Err(e) => {
-                    self.outage_buf.push_front((channel, format, native));
-                    return Err(e);
-                }
-            }
+        while let Some((channel, format, native)) = self.outage_buf.front().cloned() {
+            self.send_publish(channel, format, &native)?;
+            self.outage_buf.pop();
+            self.metrics.buffered_replayed.inc();
         }
         Ok(())
     }
@@ -944,10 +942,8 @@ impl ServClient {
     /// drains.
     fn buffer_publish(&mut self, channel: u32, format: u32, native: &[u8]) {
         self.metrics.buffered.inc();
-        self.outage_buf
-            .push_back((channel, format, native.to_vec()));
-        while self.outage_buf.len() > self.config.outage_buffer {
-            self.outage_buf.pop_front();
+        let entry = (channel, format, native.to_vec());
+        if self.outage_buf.push(entry).is_some() {
             self.metrics.buffer_dropped.inc();
         }
     }
@@ -1060,7 +1056,7 @@ impl ServClient {
     /// keeps reconnecting until `deadline`.
     fn next_frame(&mut self, deadline: Instant) -> Result<Option<(u8, u32, u32)>, ServError> {
         self.raced = None;
-        if let Some(f) = self.pending.pop_front() {
+        if let Some(f) = self.pending.pop() {
             self.raced = Some(f.body);
             return Ok(Some((f.kind, f.a, f.b)));
         }
@@ -1520,8 +1516,7 @@ impl ServClient {
                 return Ok(f);
             }
             match f.kind {
-                K_ANNOUNCE => self.pending.push_back(f),
-                K_EVENT => self.buffer_event(f),
+                K_ANNOUNCE | K_EVENT => self.buffer_raced(f),
                 other => {
                     let context = format!("while awaiting {kind:#04x}");
                     return Err(unexpected(other, f.a, &f.body, &context));
@@ -1530,36 +1525,30 @@ impl ServClient {
         }
     }
 
-    /// Buffer an event that raced an acknowledged request, dropping the
-    /// oldest buffered *event* (never a control frame) once the bounded
+    /// Buffer a frame that raced an acknowledged request, dropping the
+    /// oldest buffered *event* (never an announcement) once the bounded
     /// budget is exhausted — the client-side mirror of the daemon's
     /// outbound drop-oldest policy.
-    fn buffer_event(&mut self, f: Frame) {
-        let events = self.pending.iter().filter(|p| p.kind == K_EVENT).count();
-        if events >= MAX_PENDING_EVENTS {
-            if let Some(i) = self.pending.iter().position(|p| p.kind == K_EVENT) {
-                let evicted = self.pending.remove(i);
-                self.metrics.dropped.inc();
-                // Attribute the drop to the channel it hit, not just the
-                // global total — the label resolves once per channel.
-                if let Some(evicted) = evicted {
-                    let chan = evicted.a;
-                    self.drop_counters
-                        .entry(chan)
-                        .or_insert_with(|| {
-                            let label = self
-                                .chan_names
-                                .get(&chan)
-                                .cloned()
-                                .unwrap_or_else(|| chan.to_string());
-                            self.registry
-                                .counter_labeled("client_dropped", "chan", &label)
-                        })
-                        .inc();
-                }
-            }
-        }
-        self.pending.push_back(f);
+    fn buffer_raced(&mut self, f: Frame) {
+        let Some(evicted) = self.pending.push(f) else {
+            return;
+        };
+        self.metrics.dropped.inc();
+        // Attribute the drop to the channel it hit, not just the global
+        // total — the label resolves once per channel.
+        let chan = evicted.a;
+        self.drop_counters
+            .entry(chan)
+            .or_insert_with(|| {
+                let label = self
+                    .chan_names
+                    .get(&chan)
+                    .cloned()
+                    .unwrap_or_else(|| chan.to_string());
+                self.registry
+                    .counter_labeled("client_dropped", "chan", &label)
+            })
+            .inc();
     }
 }
 

@@ -48,7 +48,7 @@
 //! that is a refcount bump. A hot connection pays ~one syscall per
 //! [`pbio_net::frame::MAX_WRITE_BATCH`] frames, not per event.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -77,10 +77,10 @@ use pbio_obs::export::{
     ROLE_DAEMON,
 };
 use pbio_obs::{
-    epoch_ns, Counter, FlightRecorder, Gauge, Histogram, Registry, Span, TraceCtx, TraceSink,
-    FL_CONNECT, FL_EVICT, FL_FAULT, FL_PROTO_ERROR, FL_REPAIR, FL_REPLAY_FINISH, FL_REPLAY_START,
-    FL_RESUME, FL_SHUTDOWN, FL_TAP_DROP, FL_TAP_ROTATE, FL_TAP_START, FL_TAP_STOP, HOP_ENQUEUE,
-    HOP_FLUSH, HOP_INGRESS, HOP_PUBLISH, HOP_RELAY,
+    epoch_ns, Bounded, Counter, FlightRecorder, Gauge, Histogram, Overflow, Registry, Span,
+    TraceCtx, TraceSink, FL_CONNECT, FL_EVICT, FL_FAULT, FL_PROTO_ERROR, FL_REPAIR,
+    FL_REPLAY_FINISH, FL_REPLAY_START, FL_RESUME, FL_SHUTDOWN, FL_TAP_DROP, FL_TAP_ROTATE,
+    FL_TAP_START, FL_TAP_STOP, HOP_ENQUEUE, HOP_FLUSH, HOP_INGRESS, HOP_PUBLISH, HOP_RELAY,
 };
 use pbio_store::{Append, ChannelLog, FlushPolicy, ReplayItem, Store, StoreConfig, FORMAT_RAW};
 use pbio_types::arch::ArchProfile;
@@ -216,11 +216,14 @@ pub struct TraceConfig {
     pub sample_mod: u32,
     /// How often completed hop records are drained from the sink and
     /// published on the reserved [`TRACE_CHANNEL`] as self-describing
-    /// PBIO records. `None` disables the exporter (hops still accumulate
-    /// in the bounded sink and surface via [`ServDaemon::registry`]).
+    /// PBIO records. `None` disables the exporter: hops accumulate in
+    /// the bounded sink until it evicts them, and only the per-hop
+    /// duration histograms (`hop_*_ns`) surface via
+    /// [`ServDaemon::registry`].
     pub publish_interval: Option<Duration>,
     /// Bounded capacity of the hop sink; oldest hops are evicted when
-    /// tracing outpaces the exporter.
+    /// tracing outpaces the exporter (or none runs), each counted in
+    /// the registry counter `serv_trace_hops_dropped`.
     pub sink_capacity: usize,
 }
 
@@ -429,9 +432,8 @@ struct ShardLoad {
 struct OutboundQ {
     /// Queued frames, each with the trace context it carries (if any) so
     /// the flushing reactor can stamp a `flush` hop when it actually hits
-    /// the socket.
-    frames: VecDeque<(Frame, Option<TraceCtx>)>,
-    events: usize,
+    /// the socket. Only events count against the bound.
+    frames: Bounded<(Frame, Option<TraceCtx>)>,
     closed: bool,
     /// When the queue first overflowed into drop-oldest with no flush
     /// progress since; cleared every time the reactor drains frames. A
@@ -443,7 +445,6 @@ struct OutboundQ {
 
 struct Outbound {
     q: Mutex<OutboundQ>,
-    capacity: usize,
     stall_budget: Duration,
 }
 
@@ -471,52 +472,38 @@ impl Outbound {
     fn new(capacity: usize, stall_budget: Duration) -> Outbound {
         Outbound {
             q: Mutex::new(OutboundQ {
-                frames: VecDeque::new(),
-                events: 0,
+                frames: Bounded::with_exempt(capacity.max(1), Overflow::DropOldest, |(f, _)| {
+                    f.kind == K_EVENT
+                }),
                 closed: false,
                 stalled_since: None,
             }),
-            capacity: capacity.max(1),
             stall_budget,
         }
     }
 
-    /// Queue a frame for the owning reactor to flush. Control frames
-    /// always fit; when the event budget is exhausted the *oldest queued
-    /// event* is discarded to admit the new one (fresh data beats stale
-    /// data for monitoring-style consumers).
-    #[cfg(test)]
-    fn send(&self, frame: Frame) -> Enqueue {
-        self.send_traced(frame, None)
-    }
-
-    /// Enqueue with the trace context the frame carries, so the flushing
-    /// reactor can attribute its socket flush to the trace. Callers go
-    /// through [`ConnShared::send`], which adds the reactor wakeup.
+    /// Queue a frame, with the trace context it carries, for the owning
+    /// reactor to flush. Control frames always fit; when the event budget
+    /// is exhausted the *oldest queued event* is discarded to admit the
+    /// new one (fresh data beats stale data for monitoring-style
+    /// consumers). Callers go through [`ConnShared::send`], which adds
+    /// the reactor wakeup.
     fn send_traced(&self, frame: Frame, trace: Option<TraceCtx>) -> Enqueue {
         let mut q = self.q.lock().unwrap_or_else(|p| p.into_inner());
         if q.closed {
             return Enqueue::Closed;
         }
-        let is_event = frame.kind == K_EVENT;
-        let mut outcome = Enqueue::Sent;
-        if is_event && q.events >= self.capacity {
+        if frame.kind == K_EVENT && q.frames.is_full() {
             match q.stalled_since {
                 Some(t) if t.elapsed() >= self.stall_budget => return Enqueue::Stalled,
                 Some(_) => {}
                 None => q.stalled_since = Some(Instant::now()),
             }
-            if let Some(i) = q.frames.iter().position(|(f, _)| f.kind == K_EVENT) {
-                q.frames.remove(i);
-                q.events -= 1;
-                outcome = Enqueue::DroppedOldest;
-            }
         }
-        if is_event {
-            q.events += 1;
+        match q.frames.push((frame, trace)) {
+            Some(_) => Enqueue::DroppedOldest,
+            None => Enqueue::Sent,
         }
-        q.frames.push_back((frame, trace));
-        outcome
     }
 
     fn close(&self) {
@@ -529,19 +516,11 @@ impl Outbound {
     /// dropped replay frame would be silent loss of the very records a
     /// durable subscriber asked for.
     fn event_backlog(&self) -> usize {
-        self.q.lock().unwrap_or_else(|p| p.into_inner()).events
-    }
-
-    /// Next frame to write, if any; `None` covers both "empty for now"
-    /// and "closed and drained".
-    #[cfg(test)]
-    fn pop(&self) -> Option<Frame> {
-        let mut batch = Vec::with_capacity(1);
-        let mut traces = Vec::with_capacity(1);
-        match self.try_pop_batch(&mut batch, &mut traces, 1) {
-            Drained::Got => batch.pop(),
-            _ => None,
-        }
+        self.q
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .frames
+            .held()
     }
 
     /// Move up to `max` queued frames into `out` (trace contexts into the
@@ -568,13 +547,7 @@ impl Outbound {
         // The reactor is draining: whatever overflow episode was in
         // progress ends here.
         q.stalled_since = None;
-        while out.len() < max {
-            let Some((f, t)) = q.frames.pop_front() else {
-                break;
-            };
-            if f.kind == K_EVENT {
-                q.events -= 1;
-            }
+        for (f, t) in q.frames.pop_batch(max.saturating_sub(out.len())) {
             out.push(f);
             traces.push(t);
         }
@@ -603,31 +576,39 @@ struct AppendReq {
 /// block when the writer falls `capacity` requests behind — durability
 /// backpressure, in place of silently widening the ack window.
 struct StoreQueue {
-    q: Mutex<(VecDeque<AppendReq>, bool)>,
+    q: Mutex<StoreQ>,
     ready: Condvar,
     space: Condvar,
-    capacity: usize,
+}
+
+struct StoreQ {
+    /// Never overflows: pushers wait for space instead.
+    reqs: Bounded<AppendReq>,
+    closed: bool,
 }
 
 impl StoreQueue {
     fn new(capacity: usize) -> StoreQueue {
         StoreQueue {
-            q: Mutex::new((VecDeque::new(), false)),
+            q: Mutex::new(StoreQ {
+                reqs: Bounded::new(capacity.max(1), Overflow::DropNewest),
+                closed: false,
+            }),
             ready: Condvar::new(),
             space: Condvar::new(),
-            capacity: capacity.max(1),
         }
     }
 
     fn push(&self, req: AppendReq) {
         let mut q = self.q.lock().unwrap_or_else(|p| p.into_inner());
-        while q.0.len() >= self.capacity && !q.1 {
+        while q.reqs.is_full() && !q.closed {
             q = self.space.wait(q).unwrap_or_else(|p| p.into_inner());
         }
-        if q.1 {
+        if q.closed {
             return;
         }
-        q.0.push_back(req);
+        let refused = q.reqs.push(req);
+        debug_assert!(refused.is_none());
         drop(q);
         self.ready.notify_one();
     }
@@ -638,16 +619,13 @@ impl StoreQueue {
     fn pop_batch(&self, out: &mut Vec<AppendReq>, max: usize) -> bool {
         let mut q = self.q.lock().unwrap_or_else(|p| p.into_inner());
         loop {
-            if !q.0.is_empty() {
-                while out.len() < max {
-                    let Some(r) = q.0.pop_front() else { break };
-                    out.push(r);
-                }
+            if !q.reqs.is_empty() {
+                out.extend(q.reqs.pop_batch(max.saturating_sub(out.len())));
                 drop(q);
                 self.space.notify_all();
                 return true;
             }
-            if q.1 {
+            if q.closed {
                 return false;
             }
             q = self.ready.wait(q).unwrap_or_else(|p| p.into_inner());
@@ -656,7 +634,7 @@ impl StoreQueue {
 
     fn close(&self) {
         let mut q = self.q.lock().unwrap_or_else(|p| p.into_inner());
-        q.1 = true;
+        q.closed = true;
         drop(q);
         self.ready.notify_all();
         self.space.notify_all();
@@ -1110,6 +1088,10 @@ impl State {
         registry.register_counter("pool_hits", pool.hit_counter().clone());
         registry.register_counter("pool_misses", pool.miss_counter().clone());
         let formats = FormatServer::new();
+        let hops = Arc::new(TraceSink::new(
+            config.trace.sink_capacity,
+            registry.counter("serv_trace_hops_dropped"),
+        ));
         let flight = Arc::new(FlightRecorder::new(config.flight_capacity));
         if let Some(seed) = config.fault_seed {
             flight.record(FL_FAULT, 0, 0, 0, seed);
@@ -1219,7 +1201,7 @@ impl State {
             trace_channel: 0,
             topo_channel: 0,
             trace_mod: AtomicU32::new(config.trace.sample_mod),
-            hops: Arc::new(TraceSink::new(config.trace.sink_capacity)),
+            hops,
             chan_hops: Mutex::new(HashMap::new()),
             trace_format: OnceLock::new(),
             topo_format: OnceLock::new(),
@@ -2257,9 +2239,6 @@ fn publish_topo(state: &State) {
 /// drain (and every encode) is skipped; hops keep accumulating in the
 /// bounded sink, oldest evicted first.
 fn publish_trace(state: &State) {
-    if state.hops.is_empty() {
-        return;
-    }
     if !reserved_has_audience(state, state.trace_channel) {
         return;
     }
@@ -2269,8 +2248,12 @@ fn publish_trace(state: &State) {
     let Some(fanout) = state.channel(state.trace_channel) else {
         return;
     };
+    let hops = state.hops.drain();
+    if hops.is_empty() {
+        return;
+    }
     let mut buf = state.pool.get(layout.size());
-    for hop in state.hops.drain() {
+    for hop in hops {
         buf.clear();
         if encode_native_into(&hop_value(&hop), &layout, &mut buf).is_err() {
             continue;
@@ -3605,6 +3588,23 @@ fn replay_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Outbound {
+        fn send(&self, frame: Frame) -> Enqueue {
+            self.send_traced(frame, None)
+        }
+
+        /// Next frame to write, if any; `None` covers both "empty for
+        /// now" and "closed and drained".
+        fn pop(&self) -> Option<Frame> {
+            let mut batch = Vec::with_capacity(1);
+            let mut traces = Vec::with_capacity(1);
+            match self.try_pop_batch(&mut batch, &mut traces, 1) {
+                Drained::Got => batch.pop(),
+                _ => None,
+            }
+        }
+    }
 
     #[test]
     fn outbound_drops_oldest_event_but_never_control_frames() {

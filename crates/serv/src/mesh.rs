@@ -13,7 +13,7 @@
 //! peer it knows about; a dialed link is a dedicated thread owning a
 //! nonblocking socket, while the inbound half of each pairing rides the
 //! acceptor's normal reactor path as a client that negotiated
-//! [`CAP_PEER`](crate::protocol::CAP_PEER). All asymmetric state —
+//! [`CAP_PEER`]. All asymmetric state —
 //! peer-namespace channel/format id maps, the pending-forward queue,
 //! relay subscriptions — lives on the dialing side; the acceptor just
 //! serves, with two exceptions keyed off the granted capability:
@@ -23,7 +23,7 @@
 //! * granting `CAP_PEER` triggers a format-gossip dump, and fresh
 //!   registrations are re-broadcast to every peer, so a layout
 //!   registered anywhere decodes everywhere. Gossip converges because
-//!   [`FormatServer`](pbio_core::registry::FormatServer) deduplicates
+//!   [`FormatServer`](pbio::FormatServer) deduplicates
 //!   by exact metadata bytes: a re-received layout is not fresh, so the
 //!   echo dies after one round.
 //!
@@ -37,24 +37,26 @@
 //! capped backoff of [`pbio_net::dial`], re-subscribes its relay
 //! subscriptions, and re-dumps formats (both dedup on the far side).
 //! Forwards that cannot resolve — link down, channel or format id not
-//! yet mapped — park in a bounded pending queue (drop-oldest, counted),
-//! so the accounting invariant `attempted == relayed + dropped +
-//! pending` holds at every instant and a healed partition drains its
-//! backlog exactly once.
+//! yet mapped — park in the link's pending queue, a drop-oldest
+//! [`Bounded`], and a healed partition drains its backlog exactly once.
+//! The relay accounting invariant `attempted == relayed + dropped +
+//! pending` is that queue's identity `pushed == popped + dropped + len`
+//! with the forwards that went out without parking added to both sides:
+//! a parked forward leaves only by being relayed or dropped.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::ErrorKind;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pbio_net::buf::WireBuf;
 use pbio_net::dial::backoff_delay;
 use pbio_net::frame::{write_frame, Frame, FrameDecoder, FrameHeader, WriteBatch};
-use pbio_obs::{epoch_ns, TraceCtx};
+use pbio_obs::{epoch_ns, Bounded, Overflow, TraceCtx};
 use pbio_types::arch::ArchProfile;
 
 use crate::protocol::*;
@@ -168,13 +170,15 @@ enum LinkMsg {
     Gossip { format: u32 },
 }
 
-/// Counters shared between a link thread and observers.
+/// State shared between a link thread and observers.
 struct LinkShared {
     connected: AtomicBool,
     relay_tx: AtomicU64,
     relay_rx: AtomicU64,
-    relay_dropped: AtomicU64,
-    pending: AtomicU64,
+    /// Forwards parked awaiting resolution; survives reconnects. Its
+    /// drop count and length are [`PeerStats`]' `relay_dropped` and
+    /// `pending`.
+    pending: Mutex<Bounded<Forward>>,
     last_rx_ns: AtomicU64,
     connects: AtomicU64,
     /// Test hook: while set, the link severs its socket and refuses to
@@ -188,12 +192,15 @@ impl LinkShared {
             connected: AtomicBool::new(false),
             relay_tx: AtomicU64::new(0),
             relay_rx: AtomicU64::new(0),
-            relay_dropped: AtomicU64::new(0),
-            pending: AtomicU64::new(0),
+            pending: Mutex::new(Bounded::new(PENDING_CAP, Overflow::DropOldest)),
             last_rx_ns: AtomicU64::new(0),
             connects: AtomicU64::new(0),
             partitioned: AtomicBool::new(false),
         }
+    }
+
+    fn pending(&self) -> MutexGuard<'_, Bounded<Forward>> {
+        self.pending.lock().unwrap_or_else(|p| p.into_inner())
     }
 }
 
@@ -285,15 +292,18 @@ impl Mesh {
         let links = self.links.lock().unwrap_or_else(|p| p.into_inner());
         let mut out: Vec<PeerStats> = links
             .iter()
-            .map(|(peer, l)| PeerStats {
-                peer: *peer,
-                connected: l.shared.connected.load(Ordering::Relaxed),
-                relay_tx: l.shared.relay_tx.load(Ordering::Relaxed),
-                relay_rx: l.shared.relay_rx.load(Ordering::Relaxed),
-                relay_dropped: l.shared.relay_dropped.load(Ordering::Relaxed),
-                pending: l.shared.pending.load(Ordering::Relaxed),
-                last_rx_ns: l.shared.last_rx_ns.load(Ordering::Relaxed),
-                connects: l.shared.connects.load(Ordering::Relaxed),
+            .map(|(peer, l)| {
+                let pending = l.shared.pending();
+                PeerStats {
+                    peer: *peer,
+                    connected: l.shared.connected.load(Ordering::Relaxed),
+                    relay_tx: l.shared.relay_tx.load(Ordering::Relaxed),
+                    relay_rx: l.shared.relay_rx.load(Ordering::Relaxed),
+                    relay_dropped: pending.counts().dropped,
+                    pending: pending.len() as u64,
+                    last_rx_ns: l.shared.last_rx_ns.load(Ordering::Relaxed),
+                    connects: l.shared.connects.load(Ordering::Relaxed),
+                }
             })
             .collect();
         out.sort_by_key(|s| s.peer);
@@ -386,11 +396,8 @@ struct Session {
 }
 
 fn link_loop(ctx: LinkCtx) {
-    // Survives reconnects: what we relay-subscribe (name → local chan)
-    // and the forwards still owed to the peer, parked until the link is
-    // up and the peer's channel and format ids are mapped.
+    // Survives reconnects: what we relay-subscribe (name → local chan).
     let mut subs: HashMap<Arc<str>, u32> = HashMap::new();
-    let mut pending: VecDeque<Forward> = VecDeque::new();
     let mut attempt = 0u32;
     loop {
         if ctx.shutdown.load(Ordering::SeqCst) {
@@ -400,7 +407,7 @@ fn link_loop(ctx: LinkCtx) {
         // queue (that is the partition's observable contract) without
         // touching the network.
         if ctx.shared.partitioned.load(Ordering::Acquire) {
-            if !absorb_offline(&ctx, &mut subs, &mut pending) {
+            if !absorb_offline(&ctx, &mut subs) {
                 return;
             }
             std::thread::sleep(TICK);
@@ -422,14 +429,14 @@ fn link_loop(ctx: LinkCtx) {
                 {
                     break;
                 }
-                if !absorb_offline(&ctx, &mut subs, &mut pending) {
+                if !absorb_offline(&ctx, &mut subs) {
                     return;
                 }
                 let nap = left.min(Duration::from_millis(10));
                 std::thread::sleep(nap);
                 left = left.saturating_sub(nap);
             }
-            if !absorb_offline(&ctx, &mut subs, &mut pending) {
+            if !absorb_offline(&ctx, &mut subs) {
                 return;
             }
             continue;
@@ -466,10 +473,10 @@ fn link_loop(ctx: LinkCtx) {
         for name in subs.keys() {
             request_channel(&mut s, name.clone());
         }
-        for p in &pending {
+        for p in ctx.shared.pending().iter() {
             request_channel(&mut s, p.chan.clone());
         }
-        let alive = run_session(&ctx, &mut s, &mut subs, &mut pending);
+        let alive = run_session(&ctx, &mut s, &mut subs);
         ctx.shared.connected.store(false, Ordering::Relaxed);
         let _ = s.stream.shutdown(std::net::Shutdown::Both);
         if !alive {
@@ -483,14 +490,12 @@ fn link_loop(ctx: LinkCtx) {
 /// (the next connect re-dumps every format anyway). Returns false when
 /// the mesh dropped its sender — the link is being replaced or torn
 /// down.
-fn absorb_offline(
-    ctx: &LinkCtx,
-    subs: &mut HashMap<Arc<str>, u32>,
-    pending: &mut VecDeque<Forward>,
-) -> bool {
+fn absorb_offline(ctx: &LinkCtx, subs: &mut HashMap<Arc<str>, u32>) -> bool {
     loop {
         match ctx.rx.try_recv() {
-            Ok(LinkMsg::Forward(fwd)) => park(ctx, pending, fwd),
+            Ok(LinkMsg::Forward(fwd)) => {
+                ctx.shared.pending().push(fwd);
+            }
             Ok(LinkMsg::Subscribe { chan, local_chan }) => {
                 subs.insert(chan, local_chan);
             }
@@ -499,19 +504,6 @@ fn absorb_offline(
             Err(std::sync::mpsc::TryRecvError::Disconnected) => return false,
         }
     }
-}
-
-/// Park one forward in the bounded pending queue, dropping the oldest
-/// beyond the cap.
-fn park(ctx: &LinkCtx, pending: &mut VecDeque<Forward>, fwd: Forward) {
-    if pending.len() >= PENDING_CAP {
-        pending.pop_front();
-        ctx.shared.relay_dropped.fetch_add(1, Ordering::Relaxed);
-    }
-    pending.push_back(fwd);
-    ctx.shared
-        .pending
-        .store(pending.len() as u64, Ordering::Relaxed);
 }
 
 /// One dial-and-handshake attempt, offering
@@ -578,12 +570,7 @@ fn dial_once(addr: &str) -> Option<TcpStream> {
 
 /// The steady-state session loop. Returns false when the link should
 /// exit entirely (mesh dropped the mailbox), true to reconnect.
-fn run_session(
-    ctx: &LinkCtx,
-    s: &mut Session,
-    subs: &mut HashMap<Arc<str>, u32>,
-    pending: &mut VecDeque<Forward>,
-) -> bool {
+fn run_session(ctx: &LinkCtx, s: &mut Session, subs: &mut HashMap<Arc<str>, u32>) -> bool {
     loop {
         if ctx.shutdown.load(Ordering::SeqCst) {
             return false;
@@ -596,7 +583,7 @@ fn run_session(
         loop {
             match ctx.rx.try_recv() {
                 Ok(msg) => {
-                    if handle_msg(ctx, s, subs, pending, msg) {
+                    if handle_msg(ctx, s, subs, msg) {
                         resolved = true;
                     }
                 }
@@ -629,17 +616,8 @@ fn run_session(
             return true;
         }
         // 3. Retry parked forwards once something resolved.
-        if resolved && !pending.is_empty() {
-            let mut keep = VecDeque::with_capacity(pending.len());
-            while let Some(fwd) = pending.pop_front() {
-                if !try_forward(ctx, s, &fwd) {
-                    keep.push_back(fwd);
-                }
-            }
-            *pending = keep;
-            ctx.shared
-                .pending
-                .store(pending.len() as u64, Ordering::Relaxed);
+        if resolved {
+            ctx.shared.pending().retain(|fwd| !try_forward(ctx, s, fwd));
         }
         // 4. Liveness.
         let idle = s.last_rx.elapsed();
@@ -668,10 +646,10 @@ fn run_session(
             }
         }
         // 6. Sleep only when fully idle; any arriving mail wakes us.
-        if s.outq.is_empty() && s.batch.is_empty() && pending.is_empty() {
+        if s.outq.is_empty() && s.batch.is_empty() && ctx.shared.pending().is_empty() {
             match ctx.rx.recv_timeout(TICK) {
                 Ok(msg) => {
-                    handle_msg(ctx, s, subs, pending, msg);
+                    handle_msg(ctx, s, subs, msg);
                 }
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return false,
@@ -707,13 +685,12 @@ fn handle_msg(
     ctx: &LinkCtx,
     s: &mut Session,
     subs: &mut HashMap<Arc<str>, u32>,
-    pending: &mut VecDeque<Forward>,
     msg: LinkMsg,
 ) -> bool {
     match msg {
         LinkMsg::Forward(fwd) => {
             if !try_forward(ctx, s, &fwd) {
-                park(ctx, pending, fwd);
+                ctx.shared.pending().push(fwd);
             }
             false
         }

@@ -35,17 +35,18 @@
 //! decode time — a capture can never present a corrupted frame as
 //! clean.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use pbio_net::frame::{
     encode_header, read_frame, write_frame, Frame, FrameError, FrameHeader, FRAME_HEADER_SIZE,
 };
 use pbio_net::WireBuf;
+use pbio_obs::{Bounded, Overflow};
 use pbio_store::{ReplayItem, Store, StoreConfig};
 use pbio_types::layout::Layout;
 use pbio_types::meta::deserialize_layout;
@@ -193,12 +194,9 @@ pub struct TapState {
     param: AtomicU32,
     /// Event frames seen by the sampler (mode [`TapMode::Sampled`]).
     seq: AtomicU64,
-    /// Frames pushed into the ring since the daemon started.
-    captured: AtomicU64,
-    /// Frames dropped because the ring was full.
-    dropped: AtomicU64,
-    ring: Mutex<VecDeque<TapEntry>>,
-    capacity: usize,
+    /// Drops the newest frame when full: the session prefix already
+    /// captured is what makes a capture self-describing.
+    ring: Mutex<Bounded<TapEntry>>,
 }
 
 impl TapState {
@@ -210,11 +208,12 @@ impl TapState {
             mode: AtomicU32::new(m),
             param: AtomicU32::new(p),
             seq: AtomicU64::new(0),
-            captured: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            ring: Mutex::new(VecDeque::new()),
-            capacity: ring_capacity.max(1),
+            ring: Mutex::new(Bounded::new(ring_capacity.max(1), Overflow::DropNewest)),
         }
+    }
+
+    fn ring(&self) -> MutexGuard<'_, Bounded<TapEntry>> {
+        self.ring.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// One relaxed load: the per-frame cost of a disabled tap.
@@ -262,32 +261,25 @@ impl TapState {
     /// Push one captured frame; drops (and counts) when the ring is at
     /// capacity — never blocks the reactor on the drain.
     pub fn push(&self, entry: TapEntry) {
-        let mut ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
-        if ring.len() >= self.capacity {
-            drop(ring);
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        ring.push_back(entry);
-        drop(ring);
-        self.captured.fetch_add(1, Ordering::Relaxed);
+        // A refused entry outlives the guard: it is freed unlocked.
+        let _refused = self.ring().push(entry);
     }
 
     /// Move everything buffered into `into` (drain order = capture
     /// order: the ring is FIFO and drops newest on overflow).
     pub fn drain(&self, into: &mut Vec<TapEntry>) {
-        let mut ring = self.ring.lock().unwrap_or_else(|p| p.into_inner());
-        into.extend(ring.drain(..));
+        into.extend(self.ring().drain());
     }
 
     /// Frames pushed into the ring since the daemon started.
     pub fn captured(&self) -> u64 {
-        self.captured.load(Ordering::Relaxed)
+        let c = self.ring().counts();
+        c.pushed - c.dropped
     }
 
     /// Frames dropped on ring overflow since the daemon started.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.ring().counts().dropped
     }
 }
 

@@ -9,6 +9,7 @@ use pbio::{BufPool, CodegenMode, DcgConverter, InterpConverter, Plan};
 use pbio_cdr::CdrCodec;
 use pbio_integration::{profile_strategy, schema_and_value, var_schema_and_value};
 use pbio_mpi::{mpi_pack, mpi_unpack, packed_size, Datatype};
+use pbio_obs::{Bounded, Overflow};
 use pbio_types::layout::Layout;
 use pbio_types::meta::{deserialize_layout, serialize_layout};
 use pbio_types::value::{decode_native, encode_native};
@@ -211,5 +212,104 @@ proptest! {
         let plan = Arc::new(Plan::build(slay, dlay));
         let _ = InterpConverter::new(plan.clone()).convert(&wire);
         let _ = DcgConverter::compile(plan, CodegenMode::Optimized).unwrap().convert(&wire);
+    }
+}
+
+/// One operation on a [`Bounded`] in the model test.
+#[derive(Debug, Clone, Copy)]
+enum QueueOp {
+    /// Push an item that counts against the bound.
+    Push,
+    /// Push an exempt item.
+    PushExempt,
+    Pop,
+    PopBatch(usize),
+    /// Keep only the items whose id is not a multiple of the argument.
+    Retain(u32),
+    Drain,
+}
+
+fn queue_op() -> impl Strategy<Value = QueueOp> {
+    prop_oneof![
+        6 => Just(QueueOp::Push),
+        2 => Just(QueueOp::PushExempt),
+        2 => Just(QueueOp::Pop),
+        1 => (0usize..4).prop_map(QueueOp::PopBatch),
+        1 => (2u32..4).prop_map(QueueOp::Retain),
+        1 => Just(QueueOp::Drain),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `Bounded` against a naive model: a `Vec` of `(id, counted)` items
+    /// and three totals. After every operation the queue holds exactly
+    /// the model's items in order, `pushed == popped + dropped + len`,
+    /// the bound holds, and only counted items are ever dropped:
+    /// `DropOldest` gives up the oldest counted item (the incoming one
+    /// when none is held), `DropNewest` the incoming one.
+    #[test]
+    fn bounded_matches_a_naive_model(
+        capacity in 0usize..5,
+        drop_oldest in any::<bool>(),
+        ops in proptest::collection::vec(queue_op(), 0..64),
+    ) {
+        let overflow = if drop_oldest { Overflow::DropOldest } else { Overflow::DropNewest };
+        let mut q = Bounded::with_exempt(capacity, overflow, |&(_, counted): &(u32, bool)| counted);
+        let mut model: Vec<(u32, bool)> = Vec::new();
+        let (mut pushed, mut popped, mut dropped) = (0u64, 0u64, 0u64);
+        for (id, op) in (0u32..).zip(ops) {
+            match op {
+                QueueOp::Push | QueueOp::PushExempt => {
+                    let item = (id, matches!(op, QueueOp::Push));
+                    pushed += 1;
+                    let held = model.iter().filter(|i| i.1).count();
+                    let expected = if !item.1 || held < capacity {
+                        model.push(item);
+                        None
+                    } else {
+                        dropped += 1;
+                        match (overflow, model.iter().position(|i| i.1)) {
+                            (Overflow::DropOldest, Some(at)) => {
+                                model.push(item);
+                                Some(model.remove(at))
+                            }
+                            _ => Some(item),
+                        }
+                    };
+                    let evicted = q.push(item);
+                    prop_assert_eq!(evicted, expected);
+                    prop_assert!(evicted.is_none_or(|e| e.1), "an exempt item was dropped");
+                }
+                QueueOp::Pop => {
+                    let expected = (!model.is_empty()).then(|| model.remove(0));
+                    popped += u64::from(expected.is_some());
+                    prop_assert_eq!(q.pop(), expected);
+                }
+                QueueOp::PopBatch(max) => {
+                    let expected: Vec<_> = model.drain(..max.min(model.len())).collect();
+                    popped += expected.len() as u64;
+                    prop_assert_eq!(q.pop_batch(max).collect::<Vec<_>>(), expected);
+                }
+                QueueOp::Retain(m) => {
+                    let before = model.len();
+                    model.retain(|i| i.0 % m != 0);
+                    popped += (before - model.len()) as u64;
+                    q.retain(|i| i.0 % m != 0);
+                }
+                QueueOp::Drain => {
+                    popped += model.len() as u64;
+                    prop_assert_eq!(q.drain().collect::<Vec<_>>(), std::mem::take(&mut model));
+                }
+            }
+            let c = q.counts();
+            prop_assert_eq!((c.pushed, c.popped, c.dropped), (pushed, popped, dropped));
+            prop_assert_eq!(c.pushed, c.popped + c.dropped + q.len() as u64);
+            prop_assert!(q.held() <= capacity);
+            prop_assert_eq!(q.held(), model.iter().filter(|i| i.1).count());
+            prop_assert_eq!(q.iter().copied().collect::<Vec<_>>(), model.clone());
+            prop_assert_eq!(q.front(), model.first());
+        }
     }
 }

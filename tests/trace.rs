@@ -643,3 +643,56 @@ fn trailer_matrix_follows_subscriber_capabilities() {
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// With no `$trace` exporter draining it, the hop sink overflows within a
+/// few traced publishes. Every hop it evicts is counted in the daemon's
+/// books, so sampled hops never vanish unaccounted.
+#[test]
+fn hop_sink_evictions_are_counted_in_the_registry() {
+    let daemon = ServDaemon::bind_with(
+        "127.0.0.1:0",
+        ServConfig {
+            stats_interval: None,
+            trace: TraceConfig {
+                sample_mod: 1,
+                publish_interval: None,
+                sink_capacity: 4,
+            },
+            ..ServConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = daemon.local_addr();
+    let schema = sample_schema();
+    let mut subscriber = ServClient::connect(addr, &ArchProfile::X86_64).unwrap();
+    let chan = subscriber.open_channel("hop-overflow").unwrap();
+    subscriber.subscribe(chan, &schema, None).unwrap();
+    let mut publisher = ServClient::connect(addr, &ArchProfile::X86_64).unwrap();
+    let fmt = publisher.register_format(&schema).unwrap();
+    let pub_chan = publisher.open_channel("hop-overflow").unwrap();
+    for seq in 0..32u32 {
+        let value = RecordValue::new().with("seq", seq).with("load", 1.0f64);
+        publisher.publish_value(pub_chan, fmt, &value).unwrap();
+    }
+    let mut received = 0;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while received < 32 && Instant::now() < deadline {
+        if subscriber
+            .poll(Duration::from_millis(100))
+            .unwrap()
+            .is_some()
+        {
+            received += 1;
+        }
+    }
+    assert_eq!(received, 32);
+    let dropped = daemon
+        .registry()
+        .snapshot()
+        .counter("serv_trace_hops_dropped");
+    assert!(
+        dropped.is_some_and(|n| n > 0),
+        "32 traced events through a 4-hop sink: {dropped:?}"
+    );
+    daemon.shutdown();
+}
