@@ -416,7 +416,10 @@ fn read_frame_body(
 /// Read one frame from `r` into an owned [`Frame`] (allocates a fresh
 /// shared body per call; receive loops use [`FrameDecoder`]).
 ///
-/// Timeout semantics are those of [`read_frame_header`].
+/// With a read timeout armed on `r`, returns [`FrameError::Timeout`] if it
+/// fires before a frame begins, and [`FrameError::Closed`] on EOF at a
+/// frame boundary. Once the first byte has arrived the frame is read to
+/// completion, so a mid-frame EOF is an [`FrameError::Io`] error.
 pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     let header = read_frame_header(r)?;
     let mut body = Vec::new();

@@ -1,4 +1,4 @@
-//! The [`schema!`] declaration macro.
+//! The [`schema!`](crate::schema!) declaration macro.
 //!
 //! PBIO applications declare formats as a field list with string type names
 //! (`IOFieldList`). The [`crate::typestr`] parser handles the type strings;
