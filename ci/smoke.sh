@@ -10,7 +10,9 @@
 #   mesh        2-daemon federation: relay byte-identity bench smoke and
 #               the mesh failure-mode integration tests
 #   resilience  seeded-fault and durable-channel fan-out smokes
-#   tools       the observability binaries ($stats/$trace/$topo/dump)
+#   tools       the observability binaries ($stats/$trace/$topo/dump) and
+#               the figure harness (`figures --era`: Figs 1-7, wire sizes,
+#               ablations)
 #   capture     capture→replay round-trip, flight-recorder kill test,
 #               trailer-negotiation interop
 #   ledger      the benchmark itself, built against the crates it
@@ -70,6 +72,7 @@ suite_tools() {
   run trace cargo run --release -p pbio-bench --bin pbio-trace -- --smoke --json
   run top cargo run --release -p pbio-bench --bin pbio-top -- --smoke --json
   run dump cargo run --release -p pbio-bench --bin pbio-dump -- --smoke --json
+  run figures cargo run --release -p pbio-bench --bin figures -- --era
 }
 
 suite_capture() {

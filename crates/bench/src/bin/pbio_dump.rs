@@ -39,6 +39,7 @@ fn main() -> ExitCode {
     let mut limit: usize = 0;
     let parsed = CommonArgs::parse(
         "pbio-dump --dir DIR [--limit N] [--json] | pbio-dump --smoke",
+        std::env::args().skip(1),
         |flag, args| match flag {
             "--dir" => {
                 dir = Some(require::<String>(args, "--dir", "a capture directory")?);

@@ -40,6 +40,7 @@ fn main() -> ExitCode {
     let parsed = CommonArgs::parse(
         "pbio-replay --dir DIR --addr HOST:PORT [--conn N] [--timing original|max] [--json] \
          | pbio-replay --roundtrip [--events N]",
+        std::env::args().skip(1),
         |flag, args| match flag {
             "--dir" => {
                 dir = Some(require::<String>(args, "--dir", "a capture directory")?);

@@ -36,6 +36,7 @@ fn main() -> ExitCode {
     let mut duration = Duration::from_secs(3);
     let parsed = CommonArgs::parse(
         "pbio-stats [--addr HOST:PORT] [--duration SECS] [--json] [--smoke]",
+        std::env::args().skip(1),
         |flag, args| match flag {
             "--duration" => {
                 let secs: u64 = require(args, "--duration", "whole seconds")?;

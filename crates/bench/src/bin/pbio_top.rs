@@ -47,6 +47,7 @@ fn main() -> ExitCode {
     let mut events: u64 = 4_000;
     let parsed = CommonArgs::parse(
         "pbio-top [--addr HOST:PORT] [--events N] [--json] [--smoke]",
+        std::env::args().skip(1),
         |flag, args| match flag {
             "--events" => {
                 events = require(args, "--events", "a count")?;

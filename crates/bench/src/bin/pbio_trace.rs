@@ -46,6 +46,7 @@ fn main() -> ExitCode {
     let mut subs = 2usize;
     let parsed = CommonArgs::parse(
         "pbio-trace [--addr HOST:PORT] [--duration SECS] [--subs N] [--json] [--smoke]",
+        std::env::args().skip(1),
         |flag, args| match flag {
             "--duration" => {
                 let secs: u64 = require(args, "--duration", "whole seconds")?;

@@ -28,38 +28,44 @@ pub struct CommonArgs {
 }
 
 impl CommonArgs {
-    /// Parse `std::env::args()`, handling the common flags here and
-    /// offering everything else to `extra(flag, args)` — which returns
-    /// `Ok(true)` if it consumed the flag (pulling any value it needs
-    /// off `args`), `Ok(false)` if the flag is unknown, or `Err` for a
-    /// malformed value. Unknown flags and `Err`s print the message and
-    /// `usage` to stderr and return `None`, so `main` can
-    /// `return ExitCode::FAILURE`.
-    pub fn parse<F>(usage: &str, mut extra: F) -> Option<CommonArgs>
+    /// Parse `args` (a tool passes `std::env::args().skip(1)`), handling
+    /// the common flags here and offering everything else to
+    /// `extra(flag, args)` — which returns `Ok(true)` if it consumed the
+    /// flag (pulling any value it needs off `args`), `Ok(false)` if the
+    /// flag is unknown, or `Err` for a malformed value. Unknown flags,
+    /// missing values and `Err`s print the message and `usage` to stderr
+    /// and return `None`, so `main` can `return ExitCode::FAILURE`.
+    pub fn parse<I, F>(usage: &str, args: I, mut extra: F) -> Option<CommonArgs>
     where
+        I: IntoIterator<Item = String>,
         F: FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
     {
         let mut common = CommonArgs::default();
-        let mut args = std::env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--addr" => common.addr = args.next(),
-                "--json" => common.json = true,
-                "--smoke" => common.smoke = true,
-                other => match extra(other, &mut args) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        eprintln!("unknown argument {other:?}");
-                        eprintln!("usage: {usage}");
-                        return None;
-                    }
-                    Err(msg) => {
-                        eprintln!("{msg}");
-                        eprintln!("usage: {usage}");
-                        return None;
-                    }
-                },
-            }
+            let handled = match arg.as_str() {
+                "--addr" => require(&mut args, "--addr", "HOST:PORT").map(|addr| {
+                    common.addr = Some(addr);
+                    true
+                }),
+                "--json" => {
+                    common.json = true;
+                    Ok(true)
+                }
+                "--smoke" => {
+                    common.smoke = true;
+                    Ok(true)
+                }
+                other => extra(other, &mut args),
+            };
+            let msg = match handled {
+                Ok(true) => continue,
+                Ok(false) => format!("unknown argument {arg:?}"),
+                Err(msg) => msg,
+            };
+            eprintln!("{msg}");
+            eprintln!("usage: {usage}");
+            return None;
         }
         Some(common)
     }
@@ -125,5 +131,23 @@ mod tests {
         let mut one = vec!["42".to_string()].into_iter();
         let v: u64 = require(&mut one, "--events", "a count").unwrap();
         assert_eq!(v, 42);
+    }
+
+    fn parse(args: &[&str]) -> Option<CommonArgs> {
+        let args = args.iter().map(|a| a.to_string());
+        CommonArgs::parse("test", args, |_, _| Ok(false))
+    }
+
+    #[test]
+    fn addr_without_a_value_is_rejected() {
+        assert!(parse(&["--addr"]).is_none());
+    }
+
+    #[test]
+    fn addr_and_json_parse_together() {
+        let common = parse(&["--addr", "h:1", "--json"]).unwrap();
+        assert_eq!(common.addr.as_deref(), Some("h:1"));
+        assert!(common.json);
+        assert!(!common.smoke);
     }
 }

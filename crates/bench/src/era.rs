@@ -16,7 +16,7 @@
 //! *calibration of the substitution* (documented in DESIGN.md), not a knob:
 //! the same two constants are applied to every wire format and every size.
 
-use pbio_net::LegCosts;
+use crate::exchange::LegCosts;
 
 /// CPU slowdown of the paper's Sparc (Ultra 30, 247 MHz) vs this host,
 /// calibrated from Figure 1's 100 KB MPI sparc-encode component.
@@ -34,11 +34,6 @@ pub fn scale_leg(leg: LegCosts, enc_factor: f64, dec_factor: f64) -> LegCosts {
         decode: leg.decode.mul_f64(dec_factor),
         ..leg
     }
-}
-
-/// True if `--era` was passed on the command line.
-pub fn era_mode() -> bool {
-    std::env::args().any(|a| a == "--era")
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 
 use std::time::{Duration, Instant};
 
-use crate::link::SimLink;
+use pbio_net::SimLink;
 
 /// One direction of a message exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,14 +1,18 @@
 //! # pbio-bench — workloads and measurement plumbing for the evaluation
 //!
-//! Everything needed to regenerate the paper's figures:
+//! Everything the `figures` binary needs to regenerate the paper's
+//! figures and the design ablations:
 //!
 //! * [`workloads`] — the mixed-field record schemas at the paper's four
 //!   message sizes (100 B, 1 KB, 10 KB, 100 KB on the Sparc), value
 //!   generation, and the format-mismatch variants of §4.4,
 //! * [`protocols`] — uniform prepared encode/decode closures for every wire
 //!   format under test (PBIO zero-copy / interpreted / DCG, MPICH-model,
-//!   CORBA CDR, XML), so figures and Criterion benches measure identical
-//!   work,
+//!   CORBA CDR, XML), so every figure times the same per-record work,
+//! * [`exchange`] — `time_avg` and the encode / network / decode leg
+//!   breakdown of Figures 1 and 5,
+//! * [`era`] — scaling of those legs' CPU components to the paper's 1999
+//!   hosts,
 //! * [`cli`] — the flag loop and schema-bearing JSON envelope shared by
 //!   the `pbio-*` observability tools.
 //!
@@ -19,6 +23,7 @@
 
 pub mod cli;
 pub mod era;
+pub mod exchange;
 pub mod protocols;
 pub mod workloads;
 

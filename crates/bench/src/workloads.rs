@@ -147,8 +147,9 @@ pub fn workload(size: MsgSize) -> Workload {
 /// A second workload family: particle/molecular-dynamics records with a
 /// nested record, a variable-length neighbor list and a string tag — the
 /// full type system in one schema. Used by integration tests and the
-/// variable-length benches (MPI cannot describe these records at all, which
-/// is itself one of the paper's points about a-priori-agreement systems).
+/// `ablation_var_length_records` table of `figures` (MPI cannot describe
+/// these records at all, which is itself one of the paper's points about
+/// a-priori-agreement systems).
 pub fn particle_schema() -> Schema {
     let vec3 = std::sync::Arc::new(
         Schema::new(

@@ -1,4 +1,4 @@
-//! # pbio-net — network model, transports, and the exchange harness
+//! # pbio-net — network model, frame codec, and socket plumbing
 //!
 //! The paper's evaluation ran between a Sun Ultra 30 and a Pentium II over
 //! 100 Mbps Ethernet. Figures 1 and 5 decompose each message round-trip
@@ -14,9 +14,6 @@
 //!   real measured CPU time; [`clock::ClockSync`] estimates cross-process
 //!   clock offsets from one timestamp exchange (distributed tracing's
 //!   skew correction),
-//! * [`transport`] — real byte transports (in-process duplex pipe and a TCP
-//!   loopback, with read-timeout plumbing) used by integration tests to run
-//!   actual PBIO/MPI/XML/CDR streams end to end,
 //! * [`frame`] — the timeout-aware session-frame codec `pbio-serv` speaks
 //!   on the wire (PBIO record streams ride inside frame bodies), with a
 //!   CRC-32 header checksum so in-flight corruption is detected rather
@@ -37,9 +34,10 @@
 //!   sharded reactor event loop,
 //! * [`affinity`] — thread → CPU pinning (raw `sched_setaffinity(2)` on
 //!   Linux, unsupported elsewhere) so those reactor shards can stop
-//!   migrating between cores,
-//! * [`exchange`] — the measurement harness that produces the per-leg cost
-//!   breakdowns the figure binaries print.
+//!   migrating between cores.
+//!
+//! The harness that times encode/decode legs against [`link::SimLink`] for
+//! the paper's Figures 1 and 5 lives in `pbio-bench`.
 
 #![warn(missing_docs)]
 
@@ -48,20 +46,16 @@ pub mod buf;
 pub mod clock;
 pub mod crc;
 pub mod dial;
-pub mod exchange;
 pub mod fault;
 pub mod frame;
 pub mod link;
 pub mod metrics;
 pub mod poll;
-pub mod transport;
 
 pub use buf::WireBuf;
 pub use clock::{ClockSync, VirtualClock};
 pub use dial::{backoff_delay, dial_retry};
-pub use exchange::{measure_leg, time_avg, LegCosts, RoundTripCosts};
 pub use fault::{FaultLog, FaultOp, FaultPlan, FaultyStream, MaybeFaulty};
 pub use frame::{read_frame, write_frame, Frame, FrameError};
 pub use link::SimLink;
 pub use poll::{poller, Event as PollEvent, Interest, Poller, Waker};
-pub use transport::{duplex_pipe, PipeEnd, TcpPipe, TransportError};

@@ -9,9 +9,9 @@
 //! cargo run -p pbio-examples --release --bin wire_shootout
 //! ```
 
+use pbio_bench::exchange::time_avg;
 use pbio_bench::workloads::{workload, MsgSize};
 use pbio_bench::{prepare, WireFormat};
-use pbio_net::time_avg;
 use pbio_types::ArchProfile;
 
 fn main() {

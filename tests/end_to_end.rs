@@ -1,8 +1,11 @@
-//! End-to-end integration: Writer → transport → Reader, across transports,
-//! segmentations, conversion modes and architecture pairs.
+//! End-to-end integration: Writer → bytes → Reader, in memory and over a
+//! TCP loopback, across segmentations, conversion modes and architecture
+//! pairs.
+
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 
 use pbio::{ConversionMode, Reader, Writer};
-use pbio_net::{duplex_pipe, TcpPipe};
 use pbio_types::schema::{AtomType, FieldDecl, Schema, TypeDesc};
 use pbio_types::value::{RecordValue, Value};
 use pbio_types::ArchProfile;
@@ -37,8 +40,8 @@ fn telemetry_record(seq: i32) -> RecordValue {
         .with("source", format!("sensor-{seq}").as_str())
 }
 
-/// Full stream over an in-process pipe, fed to the reader in awkward chunk
-/// sizes, for every (sender, receiver) profile pair.
+/// A full stream for every (sender, receiver) profile pair. Partial
+/// delivery is `incremental_stream_consumption`'s job.
 #[test]
 fn pipe_exchange_all_profile_pairs() {
     let schema = telemetry_schema();
@@ -46,26 +49,20 @@ fn pipe_exchange_all_profile_pairs() {
         for dp in ArchProfile::all() {
             let mut writer = Writer::new(sp);
             let fmt = writer.register(&schema).unwrap();
-            let (mut tx, mut rx) = duplex_pipe();
             let mut out = Vec::new();
             for seq in 0..4 {
                 writer
                     .write_value(fmt, &telemetry_record(seq), &mut out)
                     .unwrap();
             }
-            // Send in deliberately awkward segments.
-            for chunk in out.chunks(13) {
-                tx.send(chunk);
-            }
 
             let mut reader = Reader::new(dp);
             reader.expect(&schema).unwrap();
             let mut got = Vec::new();
-            let buf = rx.drain().to_vec();
             let consumed = reader
-                .process(&buf, |view| got.push(view.to_value().unwrap()))
+                .process(&out, |view| got.push(view.to_value().unwrap()))
                 .unwrap();
-            assert_eq!(consumed, buf.len(), "{} -> {}", sp.name, dp.name);
+            assert_eq!(consumed, out.len(), "{} -> {}", sp.name, dp.name);
             assert_eq!(got.len(), 4);
             for (seq, v) in got.iter().enumerate() {
                 assert_eq!(
@@ -126,9 +123,12 @@ fn tcp_exchange() {
             .unwrap();
     }
 
-    let mut pipe = TcpPipe::open().unwrap();
-    pipe.client_send(&stream).unwrap();
-    let received = pipe.server_recv(stream.len()).unwrap();
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+    let (mut server, _) = listener.accept().unwrap();
+    client.write_all(&stream).unwrap();
+    let mut received = vec![0u8; stream.len()];
+    server.read_exact(&mut received).unwrap();
 
     let mut reader = Reader::with_mode(&ArchProfile::X86, ConversionMode::Interpreted);
     reader.expect(&schema).unwrap();
