@@ -12,10 +12,13 @@ use std::time::{Duration, Instant};
 use pbio::Reader;
 use pbio_net::frame::{read_frame, write_frame_raw};
 use pbio_obs::export::{
-    hop_schema, hop_value, snapshot_from_value, stats_schema, stats_value, StatsHeader,
-    ROLE_CLIENT, ROLE_DAEMON,
+    flight_schema, flight_value, hop_schema, hop_value, snapshot_from_value, stats_schema,
+    stats_value, topo_schema, topo_value, StatsHeader, TopoChannel, TopoConn, TopoLag, TopoPeer,
+    TopoShard, TopoSnapshot, FLIGHT_EXPORT_CAP, ROLE_CLIENT, ROLE_DAEMON, TOPO_CONN_CAP,
 };
-use pbio_obs::{HistogramSnapshot, Registry, Snapshot, TraceHop, HOP_FLUSH};
+use pbio_obs::{
+    FlightEvent, HistogramSnapshot, Registry, Snapshot, TraceHop, FL_PROTO_ERROR, HOP_FLUSH,
+};
 use pbio_serv::protocol::{
     E_PROTOCOL, K_CHANNEL, K_CHANNEL_ACK, K_ERROR, K_HELLO, K_HELLO_ACK, PROTOCOL_VERSION,
 };
@@ -556,4 +559,147 @@ fn golden_stats_record() {
     };
     let got = golden(&stats_value(&header, &snap), &stats_schema(&snap));
     assert_eq!(got, (1960, 1_545_545_255));
+}
+
+/// A topology capture that fills every section, overflows `conns` and
+/// `flight` past their wire caps, and carries the values the encoder
+/// special-cases: an unpinned shard (`cpu: -1`), a negative `ready`
+/// gauge and a channel name longer than the 8 packed bytes.
+fn golden_topo() -> TopoSnapshot {
+    let n = |i: usize| i as u64;
+    TopoSnapshot {
+        t_ns: 1_700_000_000_000,
+        conn_total: n(TOPO_CONN_CAP + 3),
+        chan_total: 2,
+        lag_total: 2,
+        flight_total: n(FLIGHT_EXPORT_CAP + 5),
+        conns: (0..TOPO_CONN_CAP + 3)
+            .map(|i| TopoConn {
+                conn: i as u32 + 1,
+                shard: (i % 2) as u32,
+                caps: 0x7,
+                queue_depth: n(i % 5),
+                bytes_sent: n(i * 1000),
+                frames_sent: n(i * 10),
+                tapped: n(i / 2),
+                last_active_ns: n(5_000 + i),
+            })
+            .collect(),
+        channels: vec![
+            TopoChannel {
+                id: 1,
+                name: "ticks".into(),
+                subscribers: 3,
+                publishes: 4_000,
+                durable: true,
+                head: 4_000,
+                segments: 2,
+                disk_bytes: 468_000,
+                home: 1,
+            },
+            TopoChannel {
+                id: 2,
+                name: "a-long-channel-name".into(),
+                subscribers: 1,
+                publishes: 9,
+                ..TopoChannel::default()
+            },
+        ],
+        shards: vec![
+            TopoShard {
+                shard: 0,
+                conns: 40,
+                ready: 2,
+                wakeups: 77,
+                cpu: 1,
+            },
+            TopoShard {
+                shard: 1,
+                conns: 27,
+                ready: -3,
+                wakeups: 12,
+                cpu: -1,
+            },
+        ],
+        lags: vec![
+            TopoLag {
+                chan: 1,
+                conn: 4,
+                head: 4_000,
+                delivered: 1_500,
+            },
+            TopoLag {
+                chan: 1,
+                conn: 5,
+                head: 4_000,
+                delivered: 4_000,
+            },
+        ],
+        flight: (0..FLIGHT_EXPORT_CAP + 5)
+            .map(|i| FlightEvent {
+                t_ns: n(10_000 + i),
+                kind: (i % 13) as u32 + 1,
+                conn: i as u32,
+                chan: (i % 3) as u32,
+                code: (i % 2) as u32,
+                aux: n(i * 7),
+            })
+            .collect(),
+        peers: vec![
+            TopoPeer {
+                peer: 1,
+                connected: true,
+                relay_tx: 300,
+                relay_rx: 120,
+                relay_dropped: 2,
+                pending: 5,
+                last_rx_ns: 9_999,
+            },
+            TopoPeer {
+                peer: 2,
+                ..TopoPeer::default()
+            },
+        ],
+    }
+}
+
+#[test]
+fn golden_topo_record() {
+    let got = golden(&topo_value(&golden_topo()), &topo_schema());
+    assert_eq!(got, (16_088, 1_969_541_159));
+}
+
+#[test]
+fn golden_flight_record() {
+    let ev = FlightEvent {
+        t_ns: 1_234_567_890,
+        kind: FL_PROTO_ERROR,
+        conn: 17,
+        chan: 4,
+        code: 2,
+        aux: 0xdead_beef,
+    };
+    let got = golden(&flight_value(&ev), &flight_schema());
+    assert_eq!(got, (32, 2_699_071_474));
+}
+
+/// The record bytes alone do not pin field names, so the serialized
+/// layout metadata of every fixed observability record is pinned too,
+/// for both a little- and a big-endian profile.
+#[test]
+fn golden_observability_layouts() {
+    let crc = |schema: &Schema, profile: &ArchProfile| {
+        let layout = Layout::of(schema, profile).unwrap();
+        pbio_net::crc::crc32(&serialize_layout(&layout))
+    };
+    let got: Vec<(u32, u32)> = [topo_schema(), flight_schema(), hop_schema()]
+        .iter()
+        .map(|s| (crc(s, &ArchProfile::X86_64), crc(s, &ArchProfile::SPARC_V8)))
+        .collect();
+    let want = vec![
+        (3_065_325_553, 4_250_939_014),
+        (2_641_329_689, 826_764_619),
+        (3_180_211_656, 1_038_085_876),
+    ];
+    assert_eq!(got, want);
 }

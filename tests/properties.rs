@@ -9,9 +9,18 @@ use pbio::{BufPool, CodegenMode, DcgConverter, InterpConverter, Plan};
 use pbio_cdr::CdrCodec;
 use pbio_integration::{profile_strategy, schema_and_value, var_schema_and_value};
 use pbio_mpi::{mpi_pack, mpi_unpack, packed_size, Datatype};
-use pbio_obs::{Bounded, Overflow};
+use pbio_obs::export::{
+    flight_from_value, flight_schema, flight_value, hop_from_value, hop_schema, hop_value,
+    topo_from_value, topo_schema, topo_value, TopoChannel, TopoConn, TopoLag, TopoPeer, TopoShard,
+    TopoSnapshot, FLIGHT_EXPORT_CAP, TOPO_CHAN_CAP, TOPO_CONN_CAP, TOPO_LAG_CAP, TOPO_PEER_CAP,
+    TOPO_SHARD_CAP,
+};
+use pbio_obs::{Bounded, FlightEvent, Overflow, TraceHop};
+use pbio_types::arch::ArchProfile;
 use pbio_types::layout::Layout;
 use pbio_types::meta::{deserialize_layout, serialize_layout};
+use pbio_types::schema::Schema;
+use pbio_types::value::RecordValue;
 use pbio_types::value::{decode_native, encode_native};
 use pbio_xml::{emit_record, XmlDecoder};
 
@@ -310,6 +319,250 @@ proptest! {
             prop_assert_eq!(q.held(), model.iter().filter(|i| i.1).count());
             prop_assert_eq!(q.iter().copied().collect::<Vec<_>>(), model.clone());
             prop_assert_eq!(q.front(), model.first());
+        }
+    }
+}
+
+fn topo_conn() -> impl Strategy<Value = TopoConn> {
+    (
+        (any::<u32>(), any::<u32>(), any::<u32>()),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+        ),
+    )
+        .prop_map(
+            |(
+                (conn, shard, caps),
+                (queue_depth, bytes_sent, frames_sent, tapped, last_active_ns),
+            )| {
+                TopoConn {
+                    conn,
+                    shard,
+                    caps,
+                    queue_depth,
+                    bytes_sent,
+                    frames_sent,
+                    tapped,
+                    last_active_ns,
+                }
+            },
+        )
+}
+
+fn topo_channel() -> impl Strategy<Value = TopoChannel> {
+    (
+        (
+            any::<u32>(),
+            "[a-z0-9_-]{0,12}",
+            any::<bool>(),
+            any::<u32>(),
+        ),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+        ),
+    )
+        .prop_map(
+            |((id, name, durable, home), (subscribers, publishes, head, segments, disk_bytes))| {
+                TopoChannel {
+                    id,
+                    name,
+                    subscribers,
+                    publishes,
+                    durable,
+                    head,
+                    segments,
+                    disk_bytes,
+                    home,
+                }
+            },
+        )
+}
+
+fn topo_shard() -> impl Strategy<Value = TopoShard> {
+    (
+        any::<u32>(),
+        any::<i64>(),
+        any::<i64>(),
+        any::<u64>(),
+        -4i64..256,
+    )
+        .prop_map(|(shard, conns, ready, wakeups, cpu)| TopoShard {
+            shard,
+            conns,
+            ready,
+            wakeups,
+            cpu,
+        })
+}
+
+fn topo_lag() -> impl Strategy<Value = TopoLag> {
+    (any::<u32>(), any::<u32>(), any::<u64>(), any::<u64>()).prop_map(
+        |(chan, conn, head, delivered)| TopoLag {
+            chan,
+            conn,
+            head,
+            delivered,
+        },
+    )
+}
+
+fn flight_event() -> impl Strategy<Value = FlightEvent> {
+    (
+        any::<u64>(),
+        any::<u32>(),
+        any::<u32>(),
+        any::<u32>(),
+        any::<u32>(),
+        any::<u64>(),
+    )
+        .prop_map(|(t_ns, kind, conn, chan, code, aux)| FlightEvent {
+            t_ns,
+            kind,
+            conn,
+            chan,
+            code,
+            aux,
+        })
+}
+
+fn topo_peer() -> impl Strategy<Value = TopoPeer> {
+    (
+        (any::<u32>(), any::<bool>()),
+        (
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+        ),
+    )
+        .prop_map(
+            |((peer, connected), (relay_tx, relay_rx, relay_dropped, pending, last_rx_ns))| {
+                TopoPeer {
+                    peer,
+                    connected,
+                    relay_tx,
+                    relay_rx,
+                    relay_dropped,
+                    pending,
+                    last_rx_ns,
+                }
+            },
+        )
+}
+
+/// A topology capture whose every section runs from empty to eight rows
+/// past its wire cap.
+fn topo_snapshot() -> impl Strategy<Value = TopoSnapshot> {
+    use proptest::collection::vec;
+    (
+        (
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+        ),
+        (
+            vec(topo_conn(), 0..=TOPO_CONN_CAP + 8),
+            vec(topo_channel(), 0..=TOPO_CHAN_CAP + 8),
+            vec(topo_shard(), 0..=TOPO_SHARD_CAP + 8),
+            vec(topo_lag(), 0..=TOPO_LAG_CAP + 8),
+            vec(flight_event(), 0..=FLIGHT_EXPORT_CAP + 8),
+            vec(topo_peer(), 0..=TOPO_PEER_CAP + 8),
+        ),
+    )
+        .prop_map(
+            |((t_ns, conn_total, chan_total, lag_total, flight_total), sections)| {
+                let (conns, channels, shards, lags, flight, peers) = sections;
+                TopoSnapshot {
+                    t_ns,
+                    conn_total,
+                    chan_total,
+                    lag_total,
+                    flight_total,
+                    conns,
+                    channels,
+                    shards,
+                    lags,
+                    flight,
+                    peers,
+                }
+            },
+        )
+}
+
+/// What a topology capture reads back as after one trip over the wire:
+/// each section cut to its cap (flight keeps the newest events), channel
+/// names cut to their 8 packed bytes, negative shard gauges clamped to 0
+/// and CPU pins below "unpinned" (-1) read as unpinned.
+fn topo_after_wire(mut t: TopoSnapshot) -> TopoSnapshot {
+    t.conns.truncate(TOPO_CONN_CAP);
+    t.channels.truncate(TOPO_CHAN_CAP);
+    for c in &mut t.channels {
+        c.name.truncate(8);
+    }
+    t.shards.truncate(TOPO_SHARD_CAP);
+    for s in &mut t.shards {
+        s.conns = s.conns.max(0);
+        s.ready = s.ready.max(0);
+        s.cpu = s.cpu.max(-1);
+    }
+    t.lags.truncate(TOPO_LAG_CAP);
+    t.flight
+        .drain(..t.flight.len().saturating_sub(FLIGHT_EXPORT_CAP));
+    t.peers.truncate(TOPO_PEER_CAP);
+    t
+}
+
+/// Encode `value` natively under `schema` laid out for `profile`, and
+/// decode it back.
+fn through_wire(value: &RecordValue, schema: &Schema, profile: &ArchProfile) -> RecordValue {
+    let layout = Layout::of(schema, profile).unwrap();
+    decode_native(&encode_native(value, &layout).unwrap(), &layout).unwrap()
+}
+
+const OBS_PROFILES: [&ArchProfile; 2] = [&ArchProfile::X86_64, &ArchProfile::SPARC_V8];
+
+proptest! {
+    /// Every fixed observability record survives value → native bytes →
+    /// value → parse on a little- and a big-endian layout, up to the
+    /// documented caps and clamps.
+    #[test]
+    fn topo_records_round_trip_up_to_caps(topo in topo_snapshot()) {
+        let want = topo_after_wire(topo.clone());
+        for profile in OBS_PROFILES {
+            let back = through_wire(&topo_value(&topo), &topo_schema(), profile);
+            prop_assert_eq!(topo_from_value(&back), Some(want.clone()));
+        }
+    }
+
+    #[test]
+    fn hop_records_round_trip(
+        (trace_id, span_id, hop, conn, channel) in
+            (any::<u64>(), any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        (t_ns, dur_ns) in (any::<u64>(), any::<u64>()),
+    ) {
+        let hop = TraceHop { trace_id, span_id, hop, conn, channel, t_ns, dur_ns };
+        for profile in OBS_PROFILES {
+            let back = through_wire(&hop_value(&hop), &hop_schema(), profile);
+            prop_assert_eq!(hop_from_value(&back), Some(hop));
+        }
+    }
+
+    #[test]
+    fn flight_records_round_trip(ev in flight_event()) {
+        for profile in OBS_PROFILES {
+            let back = through_wire(&flight_value(&ev), &flight_schema(), profile);
+            prop_assert_eq!(flight_from_value(&back), Some(ev));
         }
     }
 }
