@@ -1,12 +1,14 @@
-//! Dogfooding: describe a registry [`Snapshot`] as a PBIO record.
+//! Dogfooding: the daemon's own observability records as PBIO records.
 //!
-//! The stats record is an ordinary PBIO format — its schema is generated from
-//! the snapshot's metric names, laid out for the publisher's architecture,
-//! registered like any other format and published on the reserved `$stats`
-//! channel. Heterogeneous subscribers therefore receive stats through the
-//! exact conversion machinery the stats are measuring.
+//! Every record the observability plane exports is an ordinary PBIO
+//! format — laid out for the publisher's architecture, registered like
+//! any other format and published on a reserved channel — so
+//! heterogeneous subscribers receive it through the exact conversion
+//! machinery it measures. A record shape is described in one of two ways.
 //!
-//! Field mapping (all fixed-size, so the record stays zero-copy eligible):
+//! **`$stats` is generated from metric names.** Its schema follows a
+//! registry [`Snapshot`]'s metric set (all fields fixed-size, so the
+//! record stays zero-copy eligible):
 //!
 //! | metric              | fields                                            |
 //! |---------------------|---------------------------------------------------|
@@ -21,11 +23,21 @@
 //! format id — depends only on the metric set. Stage labels travel as
 //! their first 8 bytes packed big-endian into a `u64`.
 //!
-//! The same dogfooding applies to distributed-tracing hop records
-//! ([`crate::TraceHop`]): [`hop_schema`] describes them as an all-scalar
-//! PBIO record published on the reserved `$trace` channel.
+//! **`$trace` hops, `$flight` events and `$topo` captures are column
+//! tables.** Each fixed shape is written once, as a private table of
+//! columns: field name, wire atom, and how a value is read from and
+//! written back into its struct. The schema ([`hop_schema`],
+//! [`flight_schema`], [`topo_schema`]), the encoder (`*_value`) and the
+//! parser (`*_from_value`) all follow that one table. Hop and flight
+//! records are one scalar field per column. A topology capture is a
+//! scalar header plus six capped sections (connections, channels,
+//! shards, lags, flight events, mesh peers), each a row count and one
+//! `u64[cap]` array per column, so its schema never varies with daemon
+//! load. Adding a field is one column line plus an update of the golden
+//! wire images in `tests/obs.rs`.
 
-use pbio_types::schema::{AtomType, FieldDecl, Schema, TypeDesc};
+use pbio_types::schema::AtomType::{self, U32, U64};
+use pbio_types::schema::{FieldDecl, Schema, TypeDesc};
 use pbio_types::value::{RecordValue, Value};
 
 use crate::flight::FlightEvent;
@@ -254,48 +266,105 @@ pub fn snapshot_from_value(rv: &RecordValue) -> Option<(StatsHeader, Snapshot)> 
     Some((header, snap))
 }
 
+// ---------------------------------------------------------------------
+// Fixed record shapes: each written once, as a table of columns.
+// ---------------------------------------------------------------------
+
+/// One fixed-width column of a record shape: its field name, its wire
+/// atom (the element type, for a topology array), and how a row's value
+/// is read out as and written back from a `u64`.
+struct Col<T> {
+    name: &'static str,
+    atom: AtomType,
+    get: fn(&T) -> u64,
+    set: fn(&mut T, u64),
+}
+
+/// One scalar field per column.
+fn scalar_fields<T>(cols: &[Col<T>]) -> Vec<FieldDecl> {
+    cols.iter()
+        .map(|c| FieldDecl::atom(c.name, c.atom))
+        .collect()
+}
+
+/// The schema of an all-scalar record.
+fn scalar_schema<T>(name: &str, cols: &[Col<T>]) -> Schema {
+    Schema::new(name, scalar_fields(cols)).expect("fixed record schemas are always valid")
+}
+
+/// The record value for one row of an all-scalar record.
+fn scalar_value<T>(cols: &[Col<T>], row: &T) -> RecordValue {
+    let mut rv = RecordValue::new();
+    for c in cols {
+        rv.set(c.name, (c.get)(row));
+    }
+    rv
+}
+
+/// Parse one row of an all-scalar record; `None` if any column is
+/// missing — e.g. the record isn't of this shape at all.
+fn scalar_from_value<T: Default>(cols: &[Col<T>], rv: &RecordValue) -> Option<T> {
+    let mut row = T::default();
+    for c in cols {
+        (c.set)(&mut row, as_u64(rv.get(c.name)?)?);
+    }
+    Some(row)
+}
+
+#[rustfmt::skip]
+const HOP_COLS: &[Col<TraceHop>] = &[
+    Col { name: "trace_id", atom: U64, get: |h| h.trace_id, set: |h, v| h.trace_id = v },
+    Col { name: "span_id", atom: U32, get: |h| h.span_id.into(), set: |h, v| h.span_id = v as u32 },
+    Col { name: "hop", atom: U32, get: |h| h.hop.into(), set: |h, v| h.hop = v as u32 },
+    Col { name: "conn", atom: U32, get: |h| h.conn.into(), set: |h, v| h.conn = v as u32 },
+    Col { name: "chan", atom: U32, get: |h| h.channel.into(), set: |h, v| h.channel = v as u32 },
+    Col { name: "t_ns", atom: U64, get: |h| h.t_ns, set: |h, v| h.t_ns = v },
+    Col { name: "dur_ns", atom: U64, get: |h| h.dur_ns, set: |h, v| h.dur_ns = v },
+];
+
+#[rustfmt::skip]
+const FLIGHT_COLS: &[Col<FlightEvent>] = &[
+    Col { name: "t_ns", atom: U64, get: |e| e.t_ns, set: |e, v| e.t_ns = v },
+    Col { name: "kind", atom: U32, get: |e| e.kind.into(), set: |e, v| e.kind = v as u32 },
+    Col { name: "conn", atom: U32, get: |e| e.conn.into(), set: |e, v| e.conn = v as u32 },
+    Col { name: "chan", atom: U32, get: |e| e.chan.into(), set: |e, v| e.chan = v as u32 },
+    Col { name: "code", atom: U32, get: |e| e.code.into(), set: |e, v| e.code = v as u32 },
+    Col { name: "aux", atom: U64, get: |e| e.aux, set: |e, v| e.aux = v },
+];
+
 /// The PBIO schema for one distributed-tracing hop record — all scalar
 /// fields, so homogeneous monitors view `$trace` events zero-copy.
 pub fn hop_schema() -> Schema {
-    Schema::new(
-        TRACE_FORMAT_NAME,
-        vec![
-            FieldDecl::atom("trace_id", AtomType::U64),
-            FieldDecl::atom("span_id", AtomType::U32),
-            FieldDecl::atom("hop", AtomType::U32),
-            FieldDecl::atom("conn", AtomType::U32),
-            FieldDecl::atom("chan", AtomType::U32),
-            FieldDecl::atom("t_ns", AtomType::U64),
-            FieldDecl::atom("dur_ns", AtomType::U64),
-        ],
-    )
-    .expect("hop schema is always valid")
+    scalar_schema(TRACE_FORMAT_NAME, HOP_COLS)
 }
 
 /// Build the record value for one hop, matching [`hop_schema`].
 pub fn hop_value(hop: &TraceHop) -> RecordValue {
-    RecordValue::new()
-        .with("trace_id", hop.trace_id)
-        .with("span_id", hop.span_id)
-        .with("hop", hop.hop)
-        .with("conn", hop.conn)
-        .with("chan", hop.channel)
-        .with("t_ns", hop.t_ns)
-        .with("dur_ns", hop.dur_ns)
+    scalar_value(HOP_COLS, hop)
 }
 
 /// Parse a hop record decoded (or converted) from the wire. Returns
 /// `None` if any field is missing — e.g. the record isn't a hop at all.
 pub fn hop_from_value(rv: &RecordValue) -> Option<TraceHop> {
-    Some(TraceHop {
-        trace_id: as_u64(rv.get("trace_id")?)?,
-        span_id: as_u64(rv.get("span_id")?)? as u32,
-        hop: as_u64(rv.get("hop")?)? as u32,
-        conn: as_u64(rv.get("conn")?)? as u32,
-        channel: as_u64(rv.get("chan")?)? as u32,
-        t_ns: as_u64(rv.get("t_ns")?)?,
-        dur_ns: as_u64(rv.get("dur_ns")?)?,
-    })
+    scalar_from_value(HOP_COLS, rv)
+}
+
+/// The PBIO schema for one flight-recorder event — all scalar fields,
+/// used for segment-file dumps (one record per event).
+pub fn flight_schema() -> Schema {
+    scalar_schema(FLIGHT_FORMAT_NAME, FLIGHT_COLS)
+}
+
+/// Build the record value for one flight event, matching
+/// [`flight_schema`].
+pub fn flight_value(ev: &FlightEvent) -> RecordValue {
+    scalar_value(FLIGHT_COLS, ev)
+}
+
+/// Parse a flight event decoded (or converted) from a dump. Returns
+/// `None` if any field is missing.
+pub fn flight_from_value(rv: &RecordValue) -> Option<FlightEvent> {
+    scalar_from_value(FLIGHT_COLS, rv)
 }
 
 // ---------------------------------------------------------------------
@@ -452,398 +521,227 @@ pub struct TopoSnapshot {
     pub peers: Vec<TopoPeer>,
 }
 
-/// The fixed PBIO schema describing a [`TopoSnapshot`]. Like the trace
-/// ring, every section is a fixed-capacity columnar array plus a count,
-/// so the schema — and hence the registered format id — never varies
-/// with daemon load.
-pub fn topo_schema() -> Schema {
-    let mut fields = vec![
-        FieldDecl::atom("t_ns", AtomType::U64),
-        FieldDecl::atom("cn_total", AtomType::U64),
-        FieldDecl::atom("ch_total", AtomType::U64),
-        FieldDecl::atom("lag_total", AtomType::U64),
-        FieldDecl::atom("fl_total", AtomType::U64),
-        FieldDecl::atom("cn_count", AtomType::U64),
-        FieldDecl::atom("ch_count", AtomType::U64),
-        FieldDecl::atom("sh_count", AtomType::U64),
-        FieldDecl::atom("lag_count", AtomType::U64),
-        FieldDecl::atom("fl_count", AtomType::U64),
-        FieldDecl::atom("pe_count", AtomType::U64),
-    ];
-    let mut arrays = |names: &[&str], cap: usize| {
-        for name in names {
-            fields.push(FieldDecl::new(
-                name.to_string(),
-                TypeDesc::array(AtomType::U64, cap),
-            ));
-        }
-    };
-    arrays(
-        &[
-            "cn_id",
-            "cn_shard",
-            "cn_caps",
-            "cn_queue",
-            "cn_bytes",
-            "cn_frames",
-            "cn_tap",
-            "cn_active_ns",
-        ],
-        TOPO_CONN_CAP,
-    );
-    arrays(
-        &[
-            "ch_id",
-            "ch_name",
-            "ch_subs",
-            "ch_pubs",
-            "ch_durable",
-            "ch_head",
-            "ch_segs",
-            "ch_disk",
-            "ch_home",
-        ],
-        TOPO_CHAN_CAP,
-    );
-    arrays(
-        &["sh_id", "sh_conns", "sh_ready", "sh_wakeups", "sh_cpu"],
-        TOPO_SHARD_CAP,
-    );
-    arrays(
-        &["lag_chan", "lag_conn", "lag_head", "lag_delivered"],
-        TOPO_LAG_CAP,
-    );
-    arrays(
-        &["fl_t", "fl_kind", "fl_conn", "fl_chan", "fl_code", "fl_aux"],
-        FLIGHT_EXPORT_CAP,
-    );
-    arrays(
-        &[
-            "pe_id",
-            "pe_up",
-            "pe_tx",
-            "pe_rx",
-            "pe_drop",
-            "pe_pend",
-            "pe_last_ns",
-        ],
-        TOPO_PEER_CAP,
-    );
-    Schema::new(TOPO_FORMAT_NAME, fields).expect("topo schema is always valid")
+/// The topology record's scalar header. `t_ns` and `cn_total` mark a
+/// record as topology; the others parse as 0 when absent.
+#[rustfmt::skip]
+const TOPO_HEADER: &[Col<TopoSnapshot>] = &[
+    Col { name: "t_ns", atom: U64, get: |t| t.t_ns, set: |t, v| t.t_ns = v },
+    Col { name: "cn_total", atom: U64, get: |t| t.conn_total, set: |t, v| t.conn_total = v },
+    Col { name: "ch_total", atom: U64, get: |t| t.chan_total, set: |t, v| t.chan_total = v },
+    Col { name: "lag_total", atom: U64, get: |t| t.lag_total, set: |t, v| t.lag_total = v },
+    Col { name: "fl_total", atom: U64, get: |t| t.flight_total, set: |t, v| t.flight_total = v },
+];
+
+/// One capped section of the topology record: its row-count field, its
+/// wire capacity, its columns (each a `u64[cap]` array) and where its
+/// rows live in a [`TopoSnapshot`]. `rows` yields the rows to export,
+/// of which the first `cap` go on the wire.
+struct Section<T: 'static> {
+    count: &'static str,
+    cap: usize,
+    cols: &'static [Col<T>],
+    rows: fn(&TopoSnapshot) -> &[T],
+    rows_mut: fn(&mut TopoSnapshot) -> &mut Vec<T>,
 }
 
-/// Build one fixed-capacity u64 column from the first `cap` items.
-fn topo_column<T>(items: &[T], cap: usize, f: impl Fn(&T) -> u64) -> Value {
-    let mut col: Vec<Value> = items.iter().take(cap).map(|t| Value::U64(f(t))).collect();
-    col.resize(cap, Value::U64(0));
-    Value::Array(col)
+/// A [`Section`] with its row type erased, so the topology codec is one
+/// loop over all six.
+trait TopoSection {
+    fn count(&self) -> &'static str;
+    fn columns(&self, fields: &mut Vec<FieldDecl>);
+    fn put(&self, topo: &TopoSnapshot, rv: &mut RecordValue);
+    fn take(&self, rv: &RecordValue, topo: &mut TopoSnapshot);
+}
+
+impl<T: Default> TopoSection for Section<T> {
+    fn count(&self) -> &'static str {
+        self.count
+    }
+
+    fn columns(&self, fields: &mut Vec<FieldDecl>) {
+        for c in self.cols {
+            fields.push(FieldDecl::new(c.name, TypeDesc::array(c.atom, self.cap)));
+        }
+    }
+
+    fn put(&self, topo: &TopoSnapshot, rv: &mut RecordValue) {
+        let rows = (self.rows)(topo);
+        let rows = &rows[..rows.len().min(self.cap)];
+        rv.set(self.count, rows.len() as u64);
+        for c in self.cols {
+            let mut col: Vec<Value> = rows.iter().map(|r| Value::U64((c.get)(r))).collect();
+            col.resize(self.cap, Value::U64(0));
+            rv.set(c.name, Value::Array(col));
+        }
+    }
+
+    /// Rows are as many as the count field says, bounded by the first
+    /// column's length; a missing column reads as zeros, so records from
+    /// daemons that predate a column still parse.
+    fn take(&self, rv: &RecordValue, topo: &mut TopoSnapshot) {
+        let cols: Vec<Vec<u64>> = self
+            .cols
+            .iter()
+            .map(|c| {
+                rv.get(c.name)
+                    .and_then(|v| v.as_array())
+                    .map(|a| a.iter().filter_map(as_u64).collect())
+                    .unwrap_or_default()
+            })
+            .collect();
+        let count = rv.get(self.count).and_then(as_u64).unwrap_or(0) as usize;
+        let rows = (self.rows_mut)(topo);
+        for i in 0..count.min(cols[0].len()) {
+            let mut row = T::default();
+            for (c, col) in self.cols.iter().zip(&cols) {
+                (c.set)(&mut row, col.get(i).copied().unwrap_or(0));
+            }
+            rows.push(row);
+        }
+    }
+}
+
+#[rustfmt::skip]
+const CONN_COLS: &[Col<TopoConn>] = &[
+    Col { name: "cn_id", atom: U64, get: |c| c.conn.into(), set: |c, v| c.conn = v as u32 },
+    Col { name: "cn_shard", atom: U64, get: |c| c.shard.into(), set: |c, v| c.shard = v as u32 },
+    Col { name: "cn_caps", atom: U64, get: |c| c.caps.into(), set: |c, v| c.caps = v as u32 },
+    Col { name: "cn_queue", atom: U64, get: |c| c.queue_depth, set: |c, v| c.queue_depth = v },
+    Col { name: "cn_bytes", atom: U64, get: |c| c.bytes_sent, set: |c, v| c.bytes_sent = v },
+    Col { name: "cn_frames", atom: U64, get: |c| c.frames_sent, set: |c, v| c.frames_sent = v },
+    Col { name: "cn_tap", atom: U64, get: |c| c.tapped, set: |c, v| c.tapped = v },
+    Col { name: "cn_active_ns", atom: U64, get: |c| c.last_active_ns, set: |c, v| c.last_active_ns = v },
+];
+
+/// Channel names travel as their first 8 bytes packed into a `u64`.
+#[rustfmt::skip]
+const CHAN_COLS: &[Col<TopoChannel>] = &[
+    Col { name: "ch_id", atom: U64, get: |c| c.id.into(), set: |c, v| c.id = v as u32 },
+    Col { name: "ch_name", atom: U64, get: |c| pack_stage(&c.name), set: |c, v| c.name = unpack_stage(v) },
+    Col { name: "ch_subs", atom: U64, get: |c| c.subscribers, set: |c, v| c.subscribers = v },
+    Col { name: "ch_pubs", atom: U64, get: |c| c.publishes, set: |c, v| c.publishes = v },
+    Col { name: "ch_durable", atom: U64, get: |c| c.durable.into(), set: |c, v| c.durable = v != 0 },
+    Col { name: "ch_head", atom: U64, get: |c| c.head, set: |c, v| c.head = v },
+    Col { name: "ch_segs", atom: U64, get: |c| c.segments, set: |c, v| c.segments = v },
+    Col { name: "ch_disk", atom: U64, get: |c| c.disk_bytes, set: |c, v| c.disk_bytes = v },
+    Col { name: "ch_home", atom: U64, get: |c| c.home.into(), set: |c, v| c.home = v as u32 },
+];
+
+/// Negative load gauges go on the wire as 0. CPU pins are biased by one
+/// so the all-zero padding of an unused slot reads back as "unpinned"
+/// (-1), not "CPU 0".
+#[rustfmt::skip]
+const SHARD_COLS: &[Col<TopoShard>] = &[
+    Col { name: "sh_id", atom: U64, get: |s| s.shard.into(), set: |s, v| s.shard = v as u32 },
+    Col { name: "sh_conns", atom: U64, get: |s| s.conns.max(0) as u64, set: |s, v| s.conns = v as i64 },
+    Col { name: "sh_ready", atom: U64, get: |s| s.ready.max(0) as u64, set: |s, v| s.ready = v as i64 },
+    Col { name: "sh_wakeups", atom: U64, get: |s| s.wakeups, set: |s, v| s.wakeups = v },
+    Col { name: "sh_cpu", atom: U64, get: |s| (s.cpu + 1).max(0) as u64, set: |s, v| s.cpu = v as i64 - 1 },
+];
+
+#[rustfmt::skip]
+const LAG_COLS: &[Col<TopoLag>] = &[
+    Col { name: "lag_chan", atom: U64, get: |l| l.chan.into(), set: |l, v| l.chan = v as u32 },
+    Col { name: "lag_conn", atom: U64, get: |l| l.conn.into(), set: |l, v| l.conn = v as u32 },
+    Col { name: "lag_head", atom: U64, get: |l| l.head, set: |l, v| l.head = v },
+    Col { name: "lag_delivered", atom: U64, get: |l| l.delivered, set: |l, v| l.delivered = v },
+];
+
+#[rustfmt::skip]
+const TOPO_FLIGHT_COLS: &[Col<FlightEvent>] = &[
+    Col { name: "fl_t", atom: U64, get: |e| e.t_ns, set: |e, v| e.t_ns = v },
+    Col { name: "fl_kind", atom: U64, get: |e| e.kind.into(), set: |e, v| e.kind = v as u32 },
+    Col { name: "fl_conn", atom: U64, get: |e| e.conn.into(), set: |e, v| e.conn = v as u32 },
+    Col { name: "fl_chan", atom: U64, get: |e| e.chan.into(), set: |e, v| e.chan = v as u32 },
+    Col { name: "fl_code", atom: U64, get: |e| e.code.into(), set: |e, v| e.code = v as u32 },
+    Col { name: "fl_aux", atom: U64, get: |e| e.aux, set: |e, v| e.aux = v },
+];
+
+#[rustfmt::skip]
+const PEER_COLS: &[Col<TopoPeer>] = &[
+    Col { name: "pe_id", atom: U64, get: |p| p.peer.into(), set: |p, v| p.peer = v as u32 },
+    Col { name: "pe_up", atom: U64, get: |p| p.connected.into(), set: |p, v| p.connected = v != 0 },
+    Col { name: "pe_tx", atom: U64, get: |p| p.relay_tx, set: |p, v| p.relay_tx = v },
+    Col { name: "pe_rx", atom: U64, get: |p| p.relay_rx, set: |p, v| p.relay_rx = v },
+    Col { name: "pe_drop", atom: U64, get: |p| p.relay_dropped, set: |p, v| p.relay_dropped = v },
+    Col { name: "pe_pend", atom: U64, get: |p| p.pending, set: |p, v| p.pending = v },
+    Col { name: "pe_last_ns", atom: U64, get: |p| p.last_rx_ns, set: |p, v| p.last_rx_ns = v },
+];
+
+/// The six sections in wire order. Flight exports its *newest* events
+/// when over cap.
+#[rustfmt::skip]
+const TOPO_SECTIONS: [&dyn TopoSection; 6] = [
+    &Section {
+        count: "cn_count", cap: TOPO_CONN_CAP, cols: CONN_COLS,
+        rows: |t| &t.conns, rows_mut: |t| &mut t.conns,
+    },
+    &Section {
+        count: "ch_count", cap: TOPO_CHAN_CAP, cols: CHAN_COLS,
+        rows: |t| &t.channels, rows_mut: |t| &mut t.channels,
+    },
+    &Section {
+        count: "sh_count", cap: TOPO_SHARD_CAP, cols: SHARD_COLS,
+        rows: |t| &t.shards, rows_mut: |t| &mut t.shards,
+    },
+    &Section {
+        count: "lag_count", cap: TOPO_LAG_CAP, cols: LAG_COLS,
+        rows: |t| &t.lags, rows_mut: |t| &mut t.lags,
+    },
+    &Section {
+        count: "fl_count", cap: FLIGHT_EXPORT_CAP, cols: TOPO_FLIGHT_COLS,
+        rows: |t| &t.flight[t.flight.len().saturating_sub(FLIGHT_EXPORT_CAP)..],
+        rows_mut: |t| &mut t.flight,
+    },
+    &Section {
+        count: "pe_count", cap: TOPO_PEER_CAP, cols: PEER_COLS,
+        rows: |t| &t.peers, rows_mut: |t| &mut t.peers,
+    },
+];
+
+/// The fixed PBIO schema describing a [`TopoSnapshot`]: the header, the
+/// six row counts, then every section's columns. Like the trace ring,
+/// every section is a fixed-capacity columnar array plus a count, so
+/// the schema — and hence the registered format id — never varies with
+/// daemon load.
+pub fn topo_schema() -> Schema {
+    let mut fields = scalar_fields(TOPO_HEADER);
+    fields.extend(
+        TOPO_SECTIONS
+            .iter()
+            .map(|s| FieldDecl::atom(s.count(), U64)),
+    );
+    for s in TOPO_SECTIONS {
+        s.columns(&mut fields);
+    }
+    Schema::new(TOPO_FORMAT_NAME, fields).expect("topo schema is always valid")
 }
 
 /// Build the record value for `topo`, matching [`topo_schema`] field for
 /// field. Sections longer than their caps are truncated (the `*_total`
 /// fields still carry the true sizes).
 pub fn topo_value(topo: &TopoSnapshot) -> RecordValue {
-    let mut rv = RecordValue::new()
-        .with("t_ns", topo.t_ns)
-        .with("cn_total", topo.conn_total)
-        .with("ch_total", topo.chan_total)
-        .with("lag_total", topo.lag_total)
-        .with("fl_total", topo.flight_total)
-        .with("cn_count", topo.conns.len().min(TOPO_CONN_CAP) as u64)
-        .with("ch_count", topo.channels.len().min(TOPO_CHAN_CAP) as u64)
-        .with("sh_count", topo.shards.len().min(TOPO_SHARD_CAP) as u64)
-        .with("lag_count", topo.lags.len().min(TOPO_LAG_CAP) as u64)
-        .with("fl_count", topo.flight.len().min(FLIGHT_EXPORT_CAP) as u64)
-        .with("pe_count", topo.peers.len().min(TOPO_PEER_CAP) as u64);
-    let cn = &topo.conns;
-    rv.set(
-        "cn_id",
-        topo_column(cn, TOPO_CONN_CAP, |c| u64::from(c.conn)),
-    );
-    rv.set(
-        "cn_shard",
-        topo_column(cn, TOPO_CONN_CAP, |c| u64::from(c.shard)),
-    );
-    rv.set(
-        "cn_caps",
-        topo_column(cn, TOPO_CONN_CAP, |c| u64::from(c.caps)),
-    );
-    rv.set(
-        "cn_queue",
-        topo_column(cn, TOPO_CONN_CAP, |c| c.queue_depth),
-    );
-    rv.set("cn_bytes", topo_column(cn, TOPO_CONN_CAP, |c| c.bytes_sent));
-    rv.set(
-        "cn_frames",
-        topo_column(cn, TOPO_CONN_CAP, |c| c.frames_sent),
-    );
-    rv.set("cn_tap", topo_column(cn, TOPO_CONN_CAP, |c| c.tapped));
-    rv.set(
-        "cn_active_ns",
-        topo_column(cn, TOPO_CONN_CAP, |c| c.last_active_ns),
-    );
-    let ch = &topo.channels;
-    rv.set("ch_id", topo_column(ch, TOPO_CHAN_CAP, |c| u64::from(c.id)));
-    rv.set(
-        "ch_name",
-        topo_column(ch, TOPO_CHAN_CAP, |c| pack_stage(&c.name)),
-    );
-    rv.set("ch_subs", topo_column(ch, TOPO_CHAN_CAP, |c| c.subscribers));
-    rv.set("ch_pubs", topo_column(ch, TOPO_CHAN_CAP, |c| c.publishes));
-    rv.set(
-        "ch_durable",
-        topo_column(ch, TOPO_CHAN_CAP, |c| u64::from(c.durable)),
-    );
-    rv.set("ch_head", topo_column(ch, TOPO_CHAN_CAP, |c| c.head));
-    rv.set("ch_segs", topo_column(ch, TOPO_CHAN_CAP, |c| c.segments));
-    rv.set("ch_disk", topo_column(ch, TOPO_CHAN_CAP, |c| c.disk_bytes));
-    rv.set(
-        "ch_home",
-        topo_column(ch, TOPO_CHAN_CAP, |c| u64::from(c.home)),
-    );
-    let sh = &topo.shards;
-    rv.set(
-        "sh_id",
-        topo_column(sh, TOPO_SHARD_CAP, |s| u64::from(s.shard)),
-    );
-    rv.set(
-        "sh_conns",
-        topo_column(sh, TOPO_SHARD_CAP, |s| s.conns.max(0) as u64),
-    );
-    rv.set(
-        "sh_ready",
-        topo_column(sh, TOPO_SHARD_CAP, |s| s.ready.max(0) as u64),
-    );
-    rv.set("sh_wakeups", topo_column(sh, TOPO_SHARD_CAP, |s| s.wakeups));
-    // CPU pins are biased by one on the wire so the all-zero padding of
-    // an unused slot reads back as "unpinned", not "CPU 0".
-    rv.set(
-        "sh_cpu",
-        topo_column(sh, TOPO_SHARD_CAP, |s| (s.cpu + 1).max(0) as u64),
-    );
-    let lag = &topo.lags;
-    rv.set(
-        "lag_chan",
-        topo_column(lag, TOPO_LAG_CAP, |l| u64::from(l.chan)),
-    );
-    rv.set(
-        "lag_conn",
-        topo_column(lag, TOPO_LAG_CAP, |l| u64::from(l.conn)),
-    );
-    rv.set("lag_head", topo_column(lag, TOPO_LAG_CAP, |l| l.head));
-    rv.set(
-        "lag_delivered",
-        topo_column(lag, TOPO_LAG_CAP, |l| l.delivered),
-    );
-    // Flight events: keep the *newest* when over cap.
-    let fl_start = topo.flight.len().saturating_sub(FLIGHT_EXPORT_CAP);
-    let fl = &topo.flight[fl_start..];
-    rv.set("fl_t", topo_column(fl, FLIGHT_EXPORT_CAP, |e| e.t_ns));
-    rv.set(
-        "fl_kind",
-        topo_column(fl, FLIGHT_EXPORT_CAP, |e| u64::from(e.kind)),
-    );
-    rv.set(
-        "fl_conn",
-        topo_column(fl, FLIGHT_EXPORT_CAP, |e| u64::from(e.conn)),
-    );
-    rv.set(
-        "fl_chan",
-        topo_column(fl, FLIGHT_EXPORT_CAP, |e| u64::from(e.chan)),
-    );
-    rv.set(
-        "fl_code",
-        topo_column(fl, FLIGHT_EXPORT_CAP, |e| u64::from(e.code)),
-    );
-    rv.set("fl_aux", topo_column(fl, FLIGHT_EXPORT_CAP, |e| e.aux));
-    let pe = &topo.peers;
-    rv.set(
-        "pe_id",
-        topo_column(pe, TOPO_PEER_CAP, |p| u64::from(p.peer)),
-    );
-    rv.set(
-        "pe_up",
-        topo_column(pe, TOPO_PEER_CAP, |p| u64::from(p.connected)),
-    );
-    rv.set("pe_tx", topo_column(pe, TOPO_PEER_CAP, |p| p.relay_tx));
-    rv.set("pe_rx", topo_column(pe, TOPO_PEER_CAP, |p| p.relay_rx));
-    rv.set(
-        "pe_drop",
-        topo_column(pe, TOPO_PEER_CAP, |p| p.relay_dropped),
-    );
-    rv.set("pe_pend", topo_column(pe, TOPO_PEER_CAP, |p| p.pending));
-    rv.set(
-        "pe_last_ns",
-        topo_column(pe, TOPO_PEER_CAP, |p| p.last_rx_ns),
-    );
+    let mut rv = scalar_value(TOPO_HEADER, topo);
+    for s in TOPO_SECTIONS {
+        s.put(topo, &mut rv);
+    }
     rv
 }
 
 /// Parse a topology record (decoded or converted from the wire) back
-/// into a [`TopoSnapshot`]. Returns `None` if the record lacks the
-/// topology counts entirely.
+/// into a [`TopoSnapshot`]. Returns `None` if the record lacks `t_ns` or
+/// `cn_total`.
 pub fn topo_from_value(rv: &RecordValue) -> Option<TopoSnapshot> {
-    let col = |name: &str| -> Vec<u64> {
-        rv.get(name)
-            .and_then(|v| v.as_array())
-            .map(|a| a.iter().filter_map(as_u64).collect())
-            .unwrap_or_default()
-    };
-    let count = |name: &str| -> usize { rv.get(name).and_then(as_u64).unwrap_or(0) as usize };
-    let mut topo = TopoSnapshot {
-        t_ns: as_u64(rv.get("t_ns")?)?,
-        conn_total: as_u64(rv.get("cn_total")?)?,
-        chan_total: rv.get("ch_total").and_then(as_u64).unwrap_or(0),
-        lag_total: rv.get("lag_total").and_then(as_u64).unwrap_or(0),
-        flight_total: rv.get("fl_total").and_then(as_u64).unwrap_or(0),
-        ..TopoSnapshot::default()
-    };
-    {
-        let (id, shard, caps) = (col("cn_id"), col("cn_shard"), col("cn_caps"));
-        let (queue, bytes) = (col("cn_queue"), col("cn_bytes"));
-        let (frames, tap, active) = (col("cn_frames"), col("cn_tap"), col("cn_active_ns"));
-        for (i, &id) in id.iter().enumerate().take(count("cn_count")) {
-            topo.conns.push(TopoConn {
-                conn: id as u32,
-                shard: shard.get(i).copied().unwrap_or(0) as u32,
-                caps: caps.get(i).copied().unwrap_or(0) as u32,
-                queue_depth: queue.get(i).copied().unwrap_or(0),
-                bytes_sent: bytes.get(i).copied().unwrap_or(0),
-                frames_sent: frames.get(i).copied().unwrap_or(0),
-                tapped: tap.get(i).copied().unwrap_or(0),
-                last_active_ns: active.get(i).copied().unwrap_or(0),
-            });
-        }
+    as_u64(rv.get("t_ns")?)?;
+    as_u64(rv.get("cn_total")?)?;
+    let mut topo = TopoSnapshot::default();
+    for c in TOPO_HEADER {
+        (c.set)(&mut topo, rv.get(c.name).and_then(as_u64).unwrap_or(0));
     }
-    {
-        let (id, name, subs, pubs) = (col("ch_id"), col("ch_name"), col("ch_subs"), col("ch_pubs"));
-        let (durable, head, segs, disk) = (
-            col("ch_durable"),
-            col("ch_head"),
-            col("ch_segs"),
-            col("ch_disk"),
-        );
-        let home = col("ch_home");
-        for (i, &id) in id.iter().enumerate().take(count("ch_count")) {
-            topo.channels.push(TopoChannel {
-                id: id as u32,
-                name: unpack_stage(name.get(i).copied().unwrap_or(0)),
-                subscribers: subs.get(i).copied().unwrap_or(0),
-                publishes: pubs.get(i).copied().unwrap_or(0),
-                durable: durable.get(i).copied().unwrap_or(0) != 0,
-                head: head.get(i).copied().unwrap_or(0),
-                segments: segs.get(i).copied().unwrap_or(0),
-                disk_bytes: disk.get(i).copied().unwrap_or(0),
-                home: home.get(i).copied().unwrap_or(0) as u32,
-            });
-        }
-    }
-    {
-        let (id, conns, ready, wakeups) = (
-            col("sh_id"),
-            col("sh_conns"),
-            col("sh_ready"),
-            col("sh_wakeups"),
-        );
-        let cpu = col("sh_cpu");
-        for (i, &id) in id.iter().enumerate().take(count("sh_count")) {
-            topo.shards.push(TopoShard {
-                shard: id as u32,
-                conns: conns.get(i).copied().unwrap_or(0) as i64,
-                ready: ready.get(i).copied().unwrap_or(0) as i64,
-                wakeups: wakeups.get(i).copied().unwrap_or(0),
-                cpu: cpu.get(i).copied().unwrap_or(0) as i64 - 1,
-            });
-        }
-    }
-    {
-        let (chan, conn, head, delivered) = (
-            col("lag_chan"),
-            col("lag_conn"),
-            col("lag_head"),
-            col("lag_delivered"),
-        );
-        for (i, &chan) in chan.iter().enumerate().take(count("lag_count")) {
-            topo.lags.push(TopoLag {
-                chan: chan as u32,
-                conn: conn.get(i).copied().unwrap_or(0) as u32,
-                head: head.get(i).copied().unwrap_or(0),
-                delivered: delivered.get(i).copied().unwrap_or(0),
-            });
-        }
-    }
-    {
-        let (t, kind, conn) = (col("fl_t"), col("fl_kind"), col("fl_conn"));
-        let (chan, code, aux) = (col("fl_chan"), col("fl_code"), col("fl_aux"));
-        for (i, &t) in t.iter().enumerate().take(count("fl_count")) {
-            topo.flight.push(FlightEvent {
-                t_ns: t,
-                kind: kind.get(i).copied().unwrap_or(0) as u32,
-                conn: conn.get(i).copied().unwrap_or(0) as u32,
-                chan: chan.get(i).copied().unwrap_or(0) as u32,
-                code: code.get(i).copied().unwrap_or(0) as u32,
-                aux: aux.get(i).copied().unwrap_or(0),
-            });
-        }
-    }
-    {
-        let (id, up, tx, rx) = (col("pe_id"), col("pe_up"), col("pe_tx"), col("pe_rx"));
-        let (drop, pend, last) = (col("pe_drop"), col("pe_pend"), col("pe_last_ns"));
-        for (i, &id) in id.iter().enumerate().take(count("pe_count")) {
-            topo.peers.push(TopoPeer {
-                peer: id as u32,
-                connected: up.get(i).copied().unwrap_or(0) != 0,
-                relay_tx: tx.get(i).copied().unwrap_or(0),
-                relay_rx: rx.get(i).copied().unwrap_or(0),
-                relay_dropped: drop.get(i).copied().unwrap_or(0),
-                pending: pend.get(i).copied().unwrap_or(0),
-                last_rx_ns: last.get(i).copied().unwrap_or(0),
-            });
-        }
+    for s in TOPO_SECTIONS {
+        s.take(rv, &mut topo);
     }
     Some(topo)
-}
-
-/// The PBIO schema for one flight-recorder event — all scalar fields,
-/// used for segment-file dumps (one record per event).
-pub fn flight_schema() -> Schema {
-    Schema::new(
-        FLIGHT_FORMAT_NAME,
-        vec![
-            FieldDecl::atom("t_ns", AtomType::U64),
-            FieldDecl::atom("kind", AtomType::U32),
-            FieldDecl::atom("conn", AtomType::U32),
-            FieldDecl::atom("chan", AtomType::U32),
-            FieldDecl::atom("code", AtomType::U32),
-            FieldDecl::atom("aux", AtomType::U64),
-        ],
-    )
-    .expect("flight schema is always valid")
-}
-
-/// Build the record value for one flight event, matching
-/// [`flight_schema`].
-pub fn flight_value(ev: &FlightEvent) -> RecordValue {
-    RecordValue::new()
-        .with("t_ns", ev.t_ns)
-        .with("kind", ev.kind)
-        .with("conn", ev.conn)
-        .with("chan", ev.chan)
-        .with("code", ev.code)
-        .with("aux", ev.aux)
-}
-
-/// Parse a flight event decoded (or converted) from a dump. Returns
-/// `None` if any field is missing.
-pub fn flight_from_value(rv: &RecordValue) -> Option<FlightEvent> {
-    Some(FlightEvent {
-        t_ns: as_u64(rv.get("t_ns")?)?,
-        kind: as_u64(rv.get("kind")?)? as u32,
-        conn: as_u64(rv.get("conn")?)? as u32,
-        chan: as_u64(rv.get("chan")?)? as u32,
-        code: as_u64(rv.get("code")?)? as u32,
-        aux: as_u64(rv.get("aux")?)?,
-    })
 }
 
 #[cfg(test)]
