@@ -52,7 +52,7 @@ use std::collections::{HashMap, HashSet};
 use std::convert::Infallible;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, Weak};
 use std::thread::JoinHandle;
@@ -85,6 +85,7 @@ use pbio_obs::{
 use pbio_store::{Append, ChannelLog, FlushPolicy, ReplayItem, Store, StoreConfig, FORMAT_RAW};
 use pbio_types::arch::ArchProfile;
 use pbio_types::layout::Layout;
+use pbio_types::schema::Schema;
 use pbio_types::value::encode_native_into;
 
 use crate::mesh::{Mesh, MeshConfig, MeshHost, PeerStats};
@@ -642,34 +643,59 @@ impl StoreQueue {
 }
 
 // ---------------------------------------------------------------------------
-// Flight dump: recorder → crash-safe segment log.
+// Dumps: flight recorder and wire tap → crash-safe segment logs.
 
-/// The flight recorder's on-disk tail: its own `pbio-store` channel log
-/// (flushed every batch, so a killed daemon leaves a decodable prefix and
-/// CRC recovery handles the torn tail), plus the drain cursor and the
-/// flight record's registered layout. Drained by the background thread
-/// each tick and once more at orderly shutdown.
-struct FlightSink {
+/// A crash-safe dump: a dedicated `pbio-store` channel log, flushed every
+/// batch, so a killed daemon leaves a decodable prefix and CRC recovery
+/// handles the torn tail on reopen. The background thread drains the
+/// flight recorder and the tap ring into one each, every tick and once
+/// more at orderly shutdown.
+struct Dump {
     log: Arc<ChannelLog>,
     /// Keeps the dump's store (and its flush policy) alive.
     _store: Store,
-    format: u32,
-    layout: Arc<Layout>,
+}
+
+impl Dump {
+    fn open(dir: &Path, channel: &str) -> io::Result<Dump> {
+        let mut cfg = StoreConfig::new(dir);
+        // Every batch is fsynced: a dump's whole point is surviving an
+        // unclean death.
+        cfg.flush = FlushPolicy::EveryBatch;
+        let store = Store::open(cfg)?;
+        let log = store.channel(channel)?;
+        Ok(Dump { log, _store: store })
+    }
+
+    /// Append `records` under `format` as one batch at the log's next
+    /// offsets; false if the append failed.
+    fn append(&self, format: u32, records: &[Vec<u8>], formats: &FormatServer) -> bool {
+        let start = self.log.reserve(records.len() as u64);
+        let batch: Vec<Append<'_>> = (start..)
+            .zip(records)
+            .map(|(offset, payload)| Append {
+                offset,
+                format,
+                payload,
+            })
+            .collect();
+        self.log
+            .append_batch(&batch, &mut |id| formats.meta(id))
+            .is_ok()
+    }
+}
+
+/// The flight dump: flight records, one per recorder event.
+struct FlightSink {
+    dump: Dump,
     /// Next recorder generation to drain ([`FlightRecorder::drain_since`]).
     cursor: u64,
 }
 
-// ---------------------------------------------------------------------------
-// Wire tap: capture ring → crash-safe segment log.
-
-/// The tap's on-disk half, mirroring [`FlightSink`]: a dedicated
-/// `pbio-store` channel log (flushed every batch, torn tails CRC-recovered
-/// on reopen) that the background thread drains captured frames into.
-/// Records are opaque capture bytes, appended under [`FORMAT_RAW`].
+/// The tap's on-disk half: opaque capture records, appended under
+/// [`FORMAT_RAW`].
 struct TapSink {
-    log: Arc<ChannelLog>,
-    /// Keeps the capture store (and its flush policy) alive.
-    _store: Store,
+    dump: Dump,
     /// Encode scratch, reused across drains.
     scratch: Vec<TapEntry>,
     /// Segment count at the last drain, to spot rotations.
@@ -1027,12 +1053,12 @@ struct State {
     hops: Arc<TraceSink>,
     /// Per-channel hop histograms, resolved at channel open.
     chan_hops: Mutex<HashMap<u32, Arc<ChanHops>>>,
-    /// The hop record's registered `(format id, layout)`, registered on
-    /// first export.
-    trace_format: OnceLock<Option<(u32, Arc<Layout>)>>,
-    /// The topology record's `(format id, layout)` — fixed columnar
-    /// schema, so one registration serves the daemon's lifetime.
-    topo_format: OnceLock<Option<(u32, Arc<Layout>)>>,
+    /// The fixed-shape observability records' formats (see
+    /// [`fixed_format`]): hop and topology registered on first use, the
+    /// flight record at bind when [`ServConfig::flight_dump`] is set.
+    hop_format: FixedFormat,
+    topo_format: FixedFormat,
+    flight_format: FixedFormat,
     /// The daemon's black box: bounded lock-free ring of lifecycle
     /// events, served through [`K_INSPECT`] and dumped via `flight_sink`.
     flight: Arc<FlightRecorder>,
@@ -1112,45 +1138,27 @@ impl State {
             }
             None => None,
         };
+        let flight_format = FixedFormat::new();
         let flight_sink = match &config.flight_dump {
             Some(dir) => {
-                let mut cfg = StoreConfig::new(dir.clone());
-                // Every drained batch is fsynced: the dump's whole point
-                // is surviving an unclean death.
-                cfg.flush = FlushPolicy::EveryBatch;
-                let fstore = Store::open(cfg)?;
-                let log = fstore.channel("flight")?;
-                let layout = Layout::of(&flight_schema(), STATS_PROFILE)
-                    .map_err(|e| io::Error::other(format!("flight record layout: {e}")))?;
-                let layout = Arc::new(layout);
-                let (format, _, _) = formats.register(&layout);
-                Some(Mutex::new(FlightSink {
-                    log,
-                    _store: fstore,
-                    format,
-                    layout,
-                    cursor: 0,
-                }))
+                let dump = Dump::open(dir, "flight")?;
+                fixed_format(&formats, &flight_format, flight_schema)
+                    .ok_or_else(|| io::Error::other("flight record layout"))?;
+                Some(Mutex::new(FlightSink { dump, cursor: 0 }))
             }
             None => None,
         };
         let (tap, tap_sink) = match &config.tap {
             Some(cfg) => {
-                let mut scfg = StoreConfig::new(cfg.dir.clone());
-                // Same contract as the flight dump: a killed daemon must
-                // leave a decodable capture, so every batch is fsynced.
-                scfg.flush = FlushPolicy::EveryBatch;
-                let tstore = Store::open(scfg)?;
-                let log = tstore.channel(CAPTURE_CHANNEL)?;
+                let dump = Dump::open(&cfg.dir, CAPTURE_CHANNEL)?;
                 let state = Arc::new(TapState::new(cfg.mode, cfg.ring_capacity));
                 if cfg.mode != TapMode::Off {
                     let (mode, param) = cfg.mode.to_wire();
                     flight.record(FL_TAP_START, 0, 0, mode, u64::from(param));
                 }
                 let sink = TapSink {
-                    segments: log.segment_count(),
-                    log,
-                    _store: tstore,
+                    segments: dump.log.segment_count(),
+                    dump,
                     scratch: Vec::new(),
                     dropped_seen: 0,
                 };
@@ -1203,8 +1211,9 @@ impl State {
             trace_mod: AtomicU32::new(config.trace.sample_mod),
             hops,
             chan_hops: Mutex::new(HashMap::new()),
-            trace_format: OnceLock::new(),
-            topo_format: OnceLock::new(),
+            hop_format: FixedFormat::new(),
+            topo_format: FixedFormat::new(),
+            flight_format,
             flight,
             flight_sink,
             tap,
@@ -1366,32 +1375,6 @@ impl State {
             .unwrap_or_else(|p| p.into_inner())
             .get(&id)
             .cloned()
-    }
-
-    /// The hop record's daemon-global format, registered on first use
-    /// (`None` is sticky if the schema cannot lay out, which cannot
-    /// happen for the all-scalar hop record).
-    fn trace_format(&self) -> Option<(u32, Arc<Layout>)> {
-        self.trace_format
-            .get_or_init(|| {
-                let layout = Arc::new(Layout::of(&hop_schema(), STATS_PROFILE).ok()?);
-                let (format, _, _) = self.formats.register(&layout);
-                Some((format, layout))
-            })
-            .clone()
-    }
-
-    /// The topology record's daemon-global format: one fixed columnar
-    /// schema (every section is a capped array plus a count), so the id
-    /// never varies with daemon load and is registered exactly once.
-    fn topo_format(&self) -> Option<(u32, Arc<Layout>)> {
-        self.topo_format
-            .get_or_init(|| {
-                let layout = Arc::new(Layout::of(&topo_schema(), STATS_PROFILE).ok()?);
-                let (format, _, _) = self.formats.register(&layout);
-                Some((format, layout))
-            })
-            .clone()
     }
 
     /// The name a channel id was opened under, for metric labels.
@@ -1569,11 +1552,32 @@ impl State {
     /// Encode one topology capture as a PBIO record under the fixed
     /// `$topo` format; `(format id, NDR bytes)` like [`State::encode_stats`].
     fn encode_topo(&self) -> Option<(u32, WireBuf)> {
-        let (format, layout) = self.topo_format()?;
+        let (format, layout) = fixed_format(&self.formats, &self.topo_format, topo_schema)?;
         let topo = self.capture();
         let mut buf = self.pool.get(layout.size());
         encode_native_into(&topo_value(&topo), &layout, &mut buf).ok()?;
         Some((format, WireBuf::copy_from(&buf)))
+    }
+
+    /// Drain the hop sink into `$trace` records, one per hop:
+    /// self-describing PBIO records, consumed by `pbio-trace` (or any raw
+    /// subscriber) with no schema agreed out of band. Undrained hops keep
+    /// accumulating in the bounded sink, oldest evicted first.
+    fn encode_hops(&self) -> Vec<(u32, WireBuf)> {
+        let Some((format, layout)) = fixed_format(&self.formats, &self.hop_format, hop_schema)
+        else {
+            return Vec::new();
+        };
+        let mut buf = self.pool.get(layout.size());
+        self.hops
+            .drain()
+            .iter()
+            .filter_map(|hop| {
+                buf.clear();
+                encode_native_into(&hop_value(hop), &layout, &mut buf).ok()?;
+                Some((format, WireBuf::copy_from(&buf)))
+            })
+            .collect()
     }
 
     /// Drain new flight events into the dump log. Each batch is fsynced
@@ -1584,34 +1588,23 @@ impl State {
         let Some(sink) = &self.flight_sink else {
             return;
         };
+        let Some((format, layout)) =
+            fixed_format(&self.formats, &self.flight_format, flight_schema)
+        else {
+            return;
+        };
         let mut sink = sink.lock().unwrap_or_else(|p| p.into_inner());
         let (events, next) = self.flight.drain_since(sink.cursor);
-        if events.is_empty() {
-            sink.cursor = next;
-            return;
-        }
-        let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(events.len());
-        for ev in &events {
-            let mut buf = Vec::with_capacity(sink.layout.size());
-            if encode_native_into(&flight_value(ev), &sink.layout, &mut buf).is_ok() {
-                bufs.push(buf);
-            }
-        }
-        let start = sink.log.reserve(bufs.len() as u64);
-        let recs: Vec<Append<'_>> = bufs
+        let bufs: Vec<Vec<u8>> = events
             .iter()
-            .enumerate()
-            .map(|(i, b)| Append {
-                offset: start + i as u64,
-                format: sink.format,
-                payload: b,
+            .filter_map(|ev| {
+                let mut buf = Vec::with_capacity(layout.size());
+                encode_native_into(&flight_value(ev), &layout, &mut buf).ok()?;
+                Some(buf)
             })
             .collect();
-        if sink
-            .log
-            .append_batch(&recs, &mut |id| self.formats.meta(id))
-            .is_ok()
-        {
+        // A failed append keeps the cursor: the next drain retries.
+        if bufs.is_empty() || sink.dump.append(format, &bufs, &self.formats) {
             sink.cursor = next;
         }
     }
@@ -1631,29 +1624,20 @@ impl State {
         sink.scratch.clear();
         tap.drain(&mut sink.scratch);
         if !sink.scratch.is_empty() {
-            let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(sink.scratch.len());
-            for entry in &sink.scratch {
-                let mut buf = Vec::with_capacity(13 + FRAME_HEADER_SIZE + entry.body.len());
-                entry.encode_into(&mut buf);
-                bufs.push(buf);
-            }
-            let start = sink.log.reserve(bufs.len() as u64);
-            let recs: Vec<Append<'_>> = bufs
+            let bufs: Vec<Vec<u8>> = sink
+                .scratch
                 .iter()
-                .enumerate()
-                .map(|(i, b)| Append {
-                    offset: start + i as u64,
-                    // Raw capture bytes: no layout, no meta record.
-                    format: FORMAT_RAW,
-                    payload: b,
+                .map(|entry| {
+                    let mut buf = Vec::with_capacity(13 + FRAME_HEADER_SIZE + entry.body.len());
+                    entry.encode_into(&mut buf);
+                    buf
                 })
                 .collect();
-            let _ = sink
-                .log
-                .append_batch(&recs, &mut |id| self.formats.meta(id));
+            // Raw capture bytes: no layout, no meta record.
+            let _ = sink.dump.append(FORMAT_RAW, &bufs, &self.formats);
             sink.scratch.clear();
         }
-        let segments = sink.log.segment_count();
+        let segments = sink.dump.log.segment_count();
         if segments > sink.segments {
             self.flight.record(FL_TAP_ROTATE, 0, 0, 0, segments as u64);
         }
@@ -2166,14 +2150,19 @@ fn background_loop(
         if let Some(interval) = stats_interval {
             if since_stats >= interval {
                 since_stats = Duration::ZERO;
-                publish_stats(&state);
-                publish_topo(&state);
+                publish_reserved(&state, state.stats_channel, || {
+                    state.encode_stats().inspect(|(format, _)| {
+                        state.registry.trace("stats_publish", u64::from(*format));
+                    })
+                });
+                // The push side of `K_INSPECT`.
+                publish_reserved(&state, state.topo_channel, || state.encode_topo());
             }
         }
         if let Some(interval) = trace_interval {
             if since_trace >= interval {
                 since_trace = Duration::ZERO;
-                publish_trace(&state);
+                publish_reserved(&state, state.trace_channel, || state.encode_hops());
             }
         }
         // Incremental flight and capture dumps on every tick: the window
@@ -2183,85 +2172,46 @@ fn background_loop(
     }
 }
 
-/// True when the reserved channel has at least one live subscriber.
-/// Snapshot publishers check this *before* encoding: with nobody
-/// listening the daemon skips the whole capture/encode, and the skip is
-/// counted in `serv_stats_suppressed`.
-fn reserved_has_audience(state: &State, chan: u32) -> bool {
+/// Publish what `encode` yields on a reserved channel, through the same
+/// fan-out as any event. `encode` runs only when the channel has a live
+/// subscriber: with nobody listening the daemon skips the whole
+/// capture/encode, and the skip is counted in `serv_stats_suppressed`.
+fn publish_reserved<I>(state: &State, chan: u32, encode: impl FnOnce() -> I)
+where
+    I: IntoIterator<Item = (u32, WireBuf)>,
+{
     let Some(fanout) = state.channel(chan) else {
-        return false;
+        return;
     };
-    let n = fanout
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .active_count();
-    if n == 0 {
+    let lock = || fanout.lock().unwrap_or_else(|p| p.into_inner());
+    if lock().active_count() == 0 {
         state.metrics.stats_suppressed.inc();
-        return false;
+        return;
     }
-    true
+    for (format, wire) in encode() {
+        let _ = lock().publish_shared(format, &wire);
+    }
 }
 
-fn publish_stats(state: &State) {
-    if !reserved_has_audience(state, state.stats_channel) {
-        return;
-    }
-    let Some((format, wire)) = state.encode_stats() else {
-        return;
-    };
-    let Some(fanout) = state.channel(state.stats_channel) else {
-        return;
-    };
-    let mut fanout = fanout.lock().unwrap_or_else(|p| p.into_inner());
-    let _ = fanout.publish_shared(format, &wire);
-    state.registry.trace("stats_publish", format as u64);
-}
+/// A fixed-shape observability record's `(format id, layout)`: one
+/// schema that never varies with daemon load, so one registration serves
+/// the daemon's lifetime.
+type FixedFormat = OnceLock<Option<(u32, Arc<Layout>)>>;
 
-/// Publish one topology capture on the reserved [`TOPO_CHANNEL`] — the
-/// push side of [`K_INSPECT`], riding the same fan-out as any event.
-fn publish_topo(state: &State) {
-    if !reserved_has_audience(state, state.topo_channel) {
-        return;
-    }
-    let Some((format, wire)) = state.encode_topo() else {
-        return;
-    };
-    let Some(fanout) = state.channel(state.topo_channel) else {
-        return;
-    };
-    let mut fanout = fanout.lock().unwrap_or_else(|p| p.into_inner());
-    let _ = fanout.publish_shared(format, &wire);
-}
-
-/// Drain the hop sink and publish each record on [`TRACE_CHANNEL`]:
-/// self-describing PBIO records, consumed by `pbio-trace` (or any raw
-/// subscriber) with no schema agreed out of band. With no subscriber the
-/// drain (and every encode) is skipped; hops keep accumulating in the
-/// bounded sink, oldest evicted first.
-fn publish_trace(state: &State) {
-    if !reserved_has_audience(state, state.trace_channel) {
-        return;
-    }
-    let Some((format, layout)) = state.trace_format() else {
-        return;
-    };
-    let Some(fanout) = state.channel(state.trace_channel) else {
-        return;
-    };
-    let hops = state.hops.drain();
-    if hops.is_empty() {
-        return;
-    }
-    let mut buf = state.pool.get(layout.size());
-    for hop in hops {
-        buf.clear();
-        if encode_native_into(&hop_value(&hop), &layout, &mut buf).is_err() {
-            continue;
-        }
-        let wire = WireBuf::copy_from(&buf);
-        let mut fanout = fanout.lock().unwrap_or_else(|p| p.into_inner());
-        let _ = fanout.publish_shared(format, &wire);
-    }
+/// Register `schema`'s format on first use and return it from `slot`
+/// after that (`None` is sticky if the schema cannot lay out, which
+/// cannot happen for the fixed records).
+fn fixed_format(
+    formats: &FormatServer,
+    slot: &FixedFormat,
+    schema: fn() -> Schema,
+) -> Option<(u32, Arc<Layout>)> {
+    slot.get_or_init(|| {
+        let layout = Arc::new(Layout::of(&schema(), STATS_PROFILE).ok()?);
+        let (format, _, _) = formats.register(&layout);
+        Some((format, layout))
+    })
+    .clone()
 }
 
 // ---------------------------------------------------------------------------
@@ -3206,28 +3156,26 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
                 .filtered_at_source
                 .add(after.filtered_out - before.filtered_out);
         }
-        K_STATS => match state.encode_stats() {
-            Some((format, wire)) => {
-                // Announced like an event's format, so the client can
-                // decode the body that follows.
-                let ann = conn.announce(&state.formats, format);
-                conn.send(Frame::with_body(K_STATS_ACK, header.a, format, wire));
-                drop(ann);
+        // One-shot pulls of the records `$stats` and `$topo` push:
+        // announce the format like an event's, so the client can decode
+        // the body that follows, and answer with the record's NDR bytes.
+        K_STATS | K_INSPECT => {
+            let (record, ack, failed) = if header.kind == K_STATS {
+                let failed = "stats snapshot encoding failed";
+                (state.encode_stats(), K_STATS_ACK, failed)
+            } else {
+                let failed = "topology snapshot encoding failed";
+                (state.encode_topo(), K_INSPECT_ACK, failed)
+            };
+            match record {
+                Some((format, wire)) => {
+                    let ann = conn.announce(&state.formats, format);
+                    conn.send(Frame::with_body(ack, header.a, format, wire));
+                    drop(ann);
+                }
+                None => send_error(state, conn, E_FORMAT, failed),
             }
-            None => send_error(state, conn, E_FORMAT, "stats snapshot encoding failed"),
-        },
-        // The pull side of the introspection plane: capture live
-        // topology, announce the fixed `$topo` format once per
-        // connection, and answer with the snapshot's NDR bytes — the
-        // same record the `$topo` channel pushes.
-        K_INSPECT => match state.encode_topo() {
-            Some((format, wire)) => {
-                let ann = conn.announce(&state.formats, format);
-                conn.send(Frame::with_body(K_INSPECT_ACK, header.a, format, wire));
-                drop(ann);
-            }
-            None => send_error(state, conn, E_FORMAT, "topology snapshot encoding failed"),
-        },
+        }
         K_TRACE_CTL => {
             let prev = state.trace_mod.swap(header.b, Ordering::Relaxed);
             conn.send(Frame::control(K_TRACE_CTL_ACK, header.a, prev));
