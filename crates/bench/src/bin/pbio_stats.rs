@@ -21,13 +21,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pbio_bench::cli::{json_escape, json_object, require, CommonArgs};
+use pbio_bench::cli::{self, json_escape, json_object, require, CommonArgs};
 use pbio_bench::workloads::{workload, MsgSize};
 use pbio_obs::export::{snapshot_from_value, StatsHeader, ROLE_DAEMON};
 use pbio_obs::{HistogramSnapshot, Snapshot};
 use pbio_serv::{ServClient, ServConfig, ServDaemon, TraceConfig, STATS_CHANNEL};
 use pbio_types::arch::ArchProfile;
-use pbio_types::value::decode_native;
 
 /// Channel the demo publisher streams workload records on.
 const DEMO_CHANNEL: &str = "pbio-stats-demo";
@@ -83,33 +82,15 @@ fn main() -> ExitCode {
 type Snapshots = HashMap<(u32, u32), (StatsHeader, Snapshot)>;
 
 /// Subscribe to `$stats` on a live daemon and collect snapshots for
-/// `duration`. Records arrive in the publisher's native layout and are
-/// decoded through the announced wire layout — the heterogeneous path
-/// when daemon and monitor disagree on architecture.
+/// `duration`.
 fn observe(addr: &str, duration: Duration) -> Result<Snapshots, String> {
-    let mut client =
-        ServClient::connect(addr, &ArchProfile::X86_64).map_err(|e| format!("connect: {e}"))?;
-    let chan = client
-        .open_channel(STATS_CHANNEL)
-        .map_err(|e| format!("open {STATS_CHANNEL}: {e}"))?;
-    client
-        .subscribe_raw(chan, None)
-        .map_err(|e| format!("subscribe: {e}"))?;
-
     let mut snapshots = Snapshots::new();
-    let deadline = Instant::now() + duration;
-    while Instant::now() < deadline {
-        let ev = match client.poll_raw(Duration::from_millis(200)) {
-            Ok(Some(ev)) => ev,
-            Ok(None) => continue,
-            Err(e) => return Err(format!("poll: {e}")),
-        };
-        let value = decode_native(ev.bytes, &ev.layout).map_err(|e| format!("decode: {e}"))?;
-        if let Some((header, snap)) = snapshot_from_value(&value) {
+    cli::observe(addr, STATS_CHANNEL, duration, |value| {
+        if let Some((header, snap)) = snapshot_from_value(value) {
             // Snapshots are cumulative: the latest per publisher wins.
             snapshots.insert((header.role, header.id), (header, snap));
         }
-    }
+    })?;
     Ok(snapshots)
 }
 

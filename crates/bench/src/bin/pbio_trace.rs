@@ -22,13 +22,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pbio_bench::cli::{json_object, require, CommonArgs};
+use pbio_bench::cli::{self, json_object, require, CommonArgs};
 use pbio_bench::workloads::{workload, MsgSize};
 use pbio_obs::export::hop_from_value;
 use pbio_obs::{hop_name, TraceHop, HOP_COUNT, HOP_PUBLISH, HOP_REQUIRED};
 use pbio_serv::{ServClient, ServConfig, ServDaemon, TraceConfig, TRACE_CHANNEL};
 use pbio_types::arch::ArchProfile;
-use pbio_types::value::decode_native;
 
 /// Channel the demo publisher streams workload records on.
 const DEMO_CHANNEL: &str = "pbio-trace-demo";
@@ -102,28 +101,10 @@ fn main() -> ExitCode {
 /// each subscriber's exports arrive through the same announce/decode
 /// machinery as any other channel.
 fn observe(addr: &str, duration: Duration) -> Result<Vec<TraceHop>, String> {
-    let mut client =
-        ServClient::connect(addr, &ArchProfile::X86_64).map_err(|e| format!("connect: {e}"))?;
-    let chan = client
-        .open_channel(TRACE_CHANNEL)
-        .map_err(|e| format!("open {TRACE_CHANNEL}: {e}"))?;
-    client
-        .subscribe_raw(chan, None)
-        .map_err(|e| format!("subscribe: {e}"))?;
-
     let mut hops = Vec::new();
-    let deadline = Instant::now() + duration;
-    while Instant::now() < deadline {
-        let ev = match client.poll_raw(Duration::from_millis(200)) {
-            Ok(Some(ev)) => ev,
-            Ok(None) => continue,
-            Err(e) => return Err(format!("poll: {e}")),
-        };
-        let value = decode_native(ev.bytes, &ev.layout).map_err(|e| format!("decode: {e}"))?;
-        if let Some(hop) = hop_from_value(&value) {
-            hops.push(hop);
-        }
-    }
+    cli::observe(addr, TRACE_CHANNEL, duration, |value| {
+        hops.extend(hop_from_value(value));
+    })?;
     Ok(hops)
 }
 

@@ -4,8 +4,9 @@
 //! all speak the same dialect: `--addr HOST:PORT` to attach to a live
 //! daemon, `--json` for machine-readable output, `--smoke` for a CI
 //! self-test, plus a handful of tool-specific flags. This module holds
-//! the one flag loop, the one JSON string escaper, and the one JSON
-//! envelope they all use, so the tools stop carrying divergent copies.
+//! the one flag loop, the one JSON string escaper, the one JSON envelope
+//! and the one reserved-channel read loop they all use, so the tools stop
+//! carrying divergent copies.
 //!
 //! Every tool's `--json` output is a **single JSON object whose first
 //! field is `"schema"`** (e.g. `"pbio-top/v1"`) — a consumer can
@@ -14,6 +15,11 @@
 
 use std::fmt::Display;
 use std::str::FromStr;
+use std::time::{Duration, Instant};
+
+use pbio_serv::ServClient;
+use pbio_types::arch::ArchProfile;
+use pbio_types::value::{decode_native, RecordValue};
 
 /// The flags every observability tool shares.
 #[derive(Debug, Default)]
@@ -104,6 +110,36 @@ pub fn json_escape(s: &str) -> String {
 /// braces) into the standard envelope: one object, `"schema"` first.
 pub fn json_object(schema: &str, body: impl Display) -> String {
     format!("{{\"schema\":\"{}\",{body}}}", json_escape(schema))
+}
+
+/// Subscribe to `channel` on the daemon at `addr` and hand every record
+/// received for `duration` to `f`. Records arrive in the publisher's
+/// native layout and are decoded through the announced wire layout — the
+/// heterogeneous path when daemon and monitor disagree on architecture.
+pub fn observe(
+    addr: &str,
+    channel: &str,
+    duration: Duration,
+    mut f: impl FnMut(&RecordValue),
+) -> Result<(), String> {
+    let mut client =
+        ServClient::connect(addr, &ArchProfile::X86_64).map_err(|e| format!("connect: {e}"))?;
+    let chan = client
+        .open_channel(channel)
+        .map_err(|e| format!("open {channel}: {e}"))?;
+    client
+        .subscribe_raw(chan, None)
+        .map_err(|e| format!("subscribe: {e}"))?;
+    let deadline = Instant::now() + duration;
+    while Instant::now() < deadline {
+        let ev = match client.poll_raw(Duration::from_millis(200)) {
+            Ok(Some(ev)) => ev,
+            Ok(None) => continue,
+            Err(e) => return Err(format!("poll: {e}")),
+        };
+        f(&decode_native(ev.bytes, &ev.layout).map_err(|e| format!("decode: {e}"))?);
+    }
+    Ok(())
 }
 
 #[cfg(test)]
