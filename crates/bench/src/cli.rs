@@ -4,8 +4,9 @@
 //! all speak the same dialect: `--addr HOST:PORT` to attach to a live
 //! daemon, `--json` for machine-readable output, `--smoke` for a CI
 //! self-test, plus a handful of tool-specific flags. This module holds
-//! the one flag loop, the one JSON string escaper, the one JSON envelope
-//! and the one reserved-channel read loop they all use, so the tools stop
+//! the one flag loop, the one JSON string escaper and the one JSON
+//! envelope they all use, plus the one reserved-channel read loop of the
+//! channel monitors (`pbio-stats`, `pbio-trace`), so the tools stop
 //! carrying divergent copies.
 //!
 //! Every tool's `--json` output is a **single JSON object whose first
