@@ -5,16 +5,12 @@
 #   ci/smoke.sh <suite> [bench-out-dir]
 #
 # Suites:
-#   fanout      fan-out throughput + connection-scaling smokes + the
-#               observability overhead guard
-#   mesh        2-daemon federation: relay byte-identity bench smoke and
-#               the mesh failure-mode integration tests
-#   resilience  seeded-fault and durable-channel fan-out smokes
-#   tools       the observability binaries ($stats/$trace/$topo/dump) and
-#               the figure harness (`figures --era`: Figs 1-7, wire sizes,
-#               ablations)
-#   capture     capture→replay round-trip, flight-recorder kill test,
-#               trailer-negotiation interop
+#   mesh        the 2-daemon federation failure-mode integration tests
+#   tools       `pbio-ctl {stats,trace,top,dump} --smoke`, the
+#               observability overhead guard, and the figure harness
+#               (`figures --era`: Figs 1-7, wire sizes, ablations)
+#   capture     `pbio-ctl replay --smoke` (capture→replay round-trip),
+#               flight-recorder kill test, trailer-negotiation interop
 #   ledger      the benchmark itself, built against the crates it
 #               measures: `ledger run --smoke` (every workload, untraced
 #               and traced, tiny counts), the ledger's own unit tests,
@@ -23,7 +19,7 @@
 #   all         everything above, serially
 #
 # Every command's stdout is scanned for the one-line schema-bearing JSON
-# envelope the bench tools emit under --json; envelopes land in the
+# envelope `pbio-ctl` emits under --json; envelopes land in the
 # bench-out directory (default: bench-out/) for CI to upload as
 # artifacts. The suites assume `cargo build --release` artifacts are
 # already cached — each command builds what it needs otherwise.
@@ -48,37 +44,23 @@ run() {
   rm -f "$log"
 }
 
-suite_fanout() {
-  run fanout cargo bench -p pbio-bench --bench fanout -- --smoke --json
-  # The reactor suites hold hundreds of sockets open; the default soft
-  # fd limit of 1024 is too tight for the 512-subscriber smoke.
-  ulimit -n 16384 || true
-  run fanout-subs cargo bench -p pbio-bench --bench fanout -- --subs --smoke
-  run obs-guard cargo bench -p pbio-bench --bench obs_overhead -- --guard
-}
-
 suite_mesh() {
-  run fanout-mesh cargo bench -p pbio-bench --bench fanout -- --mesh 2 --smoke --json
   run mesh-tests cargo test -q -p pbio-integration --test mesh -- --nocapture
 }
 
-suite_resilience() {
-  run fanout-faults cargo bench -p pbio-bench --bench fanout -- --smoke --faults seed=1
-  run fanout-durable cargo bench -p pbio-bench --bench fanout -- --smoke --durable
-}
-
 suite_tools() {
-  run stats cargo run --release -p pbio-bench --bin pbio-stats -- --smoke --json
-  run trace cargo run --release -p pbio-bench --bin pbio-trace -- --smoke --json
-  run top cargo run --release -p pbio-bench --bin pbio-top -- --smoke --json
-  run dump cargo run --release -p pbio-bench --bin pbio-dump -- --smoke --json
+  local sub
+  for sub in stats trace top dump; do
+    run "$sub" cargo run --release -p pbio-bench --bin pbio-ctl -- "$sub" --smoke --json
+  done
+  run obs-guard cargo bench -p pbio-bench --bench obs_overhead -- --guard
   run figures cargo run --release -p pbio-bench --bin figures -- --era
 }
 
 suite_capture() {
   # Record a 1k-event session under the tap, replay it at max speed
   # against a fresh daemon, and require byte-identical delivery.
-  run replay cargo run --release -p pbio-bench --bin pbio-replay -- --roundtrip --events 1000
+  run replay cargo run --release -p pbio-bench --bin pbio-ctl -- replay --smoke --events 1000
   run flight cargo test -q -p pbio-integration --test flight -- --nocapture
   run trailer-interop cargo test -q -p pbio-integration --test trace
 }
@@ -100,16 +82,12 @@ suite_ledger() {
 }
 
 case "$SUITE" in
-  fanout) suite_fanout ;;
   mesh) suite_mesh ;;
-  resilience) suite_resilience ;;
   tools) suite_tools ;;
   capture) suite_capture ;;
   ledger) suite_ledger ;;
   all)
-    suite_fanout
     suite_mesh
-    suite_resilience
     suite_tools
     suite_capture
     suite_ledger

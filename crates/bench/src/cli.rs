@@ -1,16 +1,16 @@
-//! Shared command-line plumbing for the `pbio-*` observability tools.
+//! Shared command-line plumbing for `pbio-ctl`, the observability tool.
 //!
-//! `pbio-stats`, `pbio-top`, `pbio-trace`, `pbio-dump` and `pbio-replay`
-//! all speak the same dialect: `--addr HOST:PORT` to attach to a live
-//! daemon, `--json` for machine-readable output, `--smoke` for a CI
-//! self-test, plus a handful of tool-specific flags. This module holds
-//! the one flag loop, the one JSON string escaper and the one JSON
-//! envelope they all use, plus the one reserved-channel read loop of the
-//! channel monitors (`pbio-stats`, `pbio-trace`), so the tools stop
-//! carrying divergent copies.
+//! `pbio-ctl <stats|trace|top|dump|replay>` picks a [`subcommand`];
+//! every subcommand then speaks the same dialect: `--addr HOST:PORT` to
+//! attach to a live daemon, `--json` for machine-readable output,
+//! `--smoke` for a CI self-test, plus a handful of subcommand-specific
+//! flags. This module holds the one subcommand picker, the one flag
+//! loop, the JSON string escaper and envelope, and the one
+//! reserved-channel read loop of the channel monitors (`stats`,
+//! `trace`).
 //!
-//! Every tool's `--json` output is a **single JSON object whose first
-//! field is `"schema"`** (e.g. `"pbio-top/v1"`) — a consumer can
+//! Every subcommand's `--json` output is a **single JSON object whose
+//! first field is `"schema"`** (e.g. `"pbio-top/v1"`) — a consumer can
 //! dispatch on the shape before parsing the rest, and a schema bump is
 //! an explicit, greppable event.
 
@@ -22,11 +22,38 @@ use pbio_serv::ServClient;
 use pbio_types::arch::ArchProfile;
 use pbio_types::value::{decode_native, RecordValue};
 
-/// The flags every observability tool shares.
+/// The argument stream a subcommand's flag callback pulls values from.
+pub type Args<'a> = &'a mut dyn Iterator<Item = String>;
+
+/// Take the subcommand off the front of `args` and look it up in
+/// `table`. A missing or unknown one prints the message and `usage` to
+/// stderr and returns `None`.
+pub fn subcommand<'t, T>(
+    args: &mut impl Iterator<Item = String>,
+    table: &'t [(&str, T)],
+    usage: &str,
+) -> Option<&'t T> {
+    let Some(name) = args.next() else {
+        return usage_error("missing subcommand", usage);
+    };
+    match table.iter().find(|(n, _)| *n == name) {
+        Some((_, entry)) => Some(entry),
+        None => usage_error(&format!("unknown subcommand {name:?}"), usage),
+    }
+}
+
+/// Print `msg` and `usage` to stderr; `None`, for a parser to return.
+fn usage_error<T>(msg: &str, usage: &str) -> Option<T> {
+    eprintln!("{msg}");
+    eprintln!("usage: {usage}");
+    None
+}
+
+/// The flags every subcommand shares.
 #[derive(Debug, Default)]
 pub struct CommonArgs {
     /// `--addr HOST:PORT`: attach to a live daemon instead of running
-    /// the tool's self-contained demo.
+    /// the subcommand's self-contained demo.
     pub addr: Option<String>,
     /// `--json`: emit one schema-bearing JSON object instead of tables.
     pub json: bool,
@@ -35,17 +62,19 @@ pub struct CommonArgs {
 }
 
 impl CommonArgs {
-    /// Parse `args` (a tool passes `std::env::args().skip(1)`), handling
-    /// the common flags here and offering everything else to
+    /// Parse `args` (the arguments after the subcommand), handling the
+    /// common flags here and offering everything else to
     /// `extra(flag, args)` — which returns `Ok(true)` if it consumed the
     /// flag (pulling any value it needs off `args`), `Ok(false)` if the
     /// flag is unknown, or `Err` for a malformed value. Unknown flags,
-    /// missing values and `Err`s print the message and `usage` to stderr
-    /// and return `None`, so `main` can `return ExitCode::FAILURE`.
+    /// missing values, `Err`s and `--smoke` together with `--addr` (the
+    /// smoke assertions describe the demo, not a live daemon) print the
+    /// message and `usage` to stderr and return `None`, so `main` can
+    /// `return ExitCode::FAILURE`.
     pub fn parse<I, F>(usage: &str, args: I, mut extra: F) -> Option<CommonArgs>
     where
         I: IntoIterator<Item = String>,
-        F: FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
+        F: FnMut(&str, Args<'_>) -> Result<bool, String>,
     {
         let mut common = CommonArgs::default();
         let mut args = args.into_iter();
@@ -70,9 +99,10 @@ impl CommonArgs {
                 Ok(false) => format!("unknown argument {arg:?}"),
                 Err(msg) => msg,
             };
-            eprintln!("{msg}");
-            eprintln!("usage: {usage}");
-            return None;
+            return usage_error(&msg, usage);
+        }
+        if common.smoke && common.addr.is_some() {
+            return usage_error("--smoke runs the self-contained demo; drop --addr", usage);
         }
         Some(common)
     }
@@ -81,11 +111,7 @@ impl CommonArgs {
 /// Pull and parse the value of `flag` from the argument stream;
 /// `Err(message)` (for the `extra` callback) when it is missing or
 /// unparseable.
-pub fn require<T: FromStr>(
-    args: &mut dyn Iterator<Item = String>,
-    flag: &str,
-    what: &str,
-) -> Result<T, String> {
+pub fn require<T: FromStr>(args: Args<'_>, flag: &str, what: &str) -> Result<T, String> {
     args.next()
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| format!("{flag} takes {what}"))
@@ -111,6 +137,14 @@ pub fn json_escape(s: &str) -> String {
 /// braces) into the standard envelope: one object, `"schema"` first.
 pub fn json_object(schema: &str, body: impl Display) -> String {
     format!("{{\"schema\":\"{}\",{body}}}", json_escape(schema))
+}
+
+/// A JSON array of `f(item)` for every item.
+pub fn json_array<T>(items: impl IntoIterator<Item = T>, f: impl FnMut(T) -> String) -> String {
+    format!(
+        "[{}]",
+        items.into_iter().map(f).collect::<Vec<_>>().join(",")
+    )
 }
 
 /// Subscribe to `channel` on the daemon at `addr` and hand every record
@@ -186,5 +220,38 @@ mod tests {
         assert_eq!(common.addr.as_deref(), Some("h:1"));
         assert!(common.json);
         assert!(!common.smoke);
+    }
+
+    const TABLE: [(&str, u8); 2] = [("top", 1), ("replay", 2)];
+
+    fn subcommand(args: &[&str]) -> Option<u8> {
+        let mut args = args.iter().map(|a| a.to_string());
+        super::subcommand(&mut args, &TABLE, "test").copied()
+    }
+
+    /// `--smoke` asserts what the demo does, so it cannot attach to a
+    /// live daemon; and a subcommand must come first and be known.
+    #[test]
+    fn usage_errors_return_none() {
+        assert!(parse(&["--smoke", "--addr", "h:1"]).is_none());
+        assert!(parse(&["--addr", "h:1", "--json", "--smoke"]).is_none());
+        assert!(parse(&["--smoke", "--json"]).unwrap().smoke);
+        assert_eq!(subcommand(&["fanout"]), None);
+        assert_eq!(subcommand(&["--smoke"]), None);
+        assert_eq!(subcommand(&[]), None);
+    }
+
+    #[test]
+    fn subcommand_leaves_its_flags_for_the_flag_loop() {
+        let mut args = ["top", "--json"].iter().map(|a| a.to_string());
+        assert_eq!(super::subcommand(&mut args, &TABLE, "test"), Some(&1));
+        assert_eq!(args.collect::<Vec<_>>(), ["--json"]);
+        assert_eq!(subcommand(&["replay"]), Some(2));
+    }
+
+    #[test]
+    fn json_array_joins_items() {
+        assert_eq!(json_array([1, 2], |n| n.to_string()), "[1,2]");
+        assert_eq!(json_array(Vec::<u8>::new(), |n| n.to_string()), "[]");
     }
 }

@@ -294,16 +294,6 @@ fn prepare_xml(
     }
 }
 
-/// All formats compared in Figures 2 and 3.
-pub fn figure23_formats() -> [WireFormat; 4] {
-    [
-        WireFormat::Xml,
-        WireFormat::Mpi,
-        WireFormat::Cdr,
-        WireFormat::PbioInterp,
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

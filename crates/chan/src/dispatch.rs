@@ -178,14 +178,6 @@ impl<S> Fanout<S> {
             .map(|e| &mut e.sub)
     }
 
-    /// Iterate over `(id, subscriber)` for the active subscriptions.
-    pub fn iter_active_mut(&mut self) -> impl Iterator<Item = (SubscriptionId, &mut S)> {
-        self.subs
-            .iter_mut()
-            .filter(|e| e.active)
-            .map(|e| (e.id, &mut e.sub))
-    }
-
     /// Drop subscriptions (active or not) failing the predicate — used by
     /// the daemon to reap subscribers whose connection went away.
     pub fn retain(&mut self, mut keep: impl FnMut(SubscriptionId, &mut S) -> bool) {

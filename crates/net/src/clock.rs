@@ -1,8 +1,4 @@
-//! Clocks: a virtual clock mixing simulated network time with measured
-//! CPU time, and a cross-process offset estimator for distributed
-//! tracing.
-
-use std::time::Duration;
+//! A cross-process clock offset estimator for distributed tracing.
 
 /// Estimated offset between this process's observation timebase and a
 /// peer's, from one request/reply timestamp exchange (the classic
@@ -57,81 +53,9 @@ impl ClockSync {
     }
 }
 
-/// Accumulates time from two sources: real measured durations (encode and
-/// decode CPU work, measured on the host) and simulated durations (network
-/// transfer per the [`crate::SimLink`] model). The figure binaries use one
-/// clock per exchange to report totals consistent with the per-leg
-/// breakdown.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VirtualClock {
-    elapsed: Duration,
-    cpu: Duration,
-    network: Duration,
-}
-
-impl VirtualClock {
-    /// A clock at zero.
-    pub fn new() -> VirtualClock {
-        VirtualClock::default()
-    }
-
-    /// Add measured CPU time.
-    pub fn advance_cpu(&mut self, d: Duration) {
-        self.elapsed += d;
-        self.cpu += d;
-    }
-
-    /// Add simulated network time.
-    pub fn advance_network(&mut self, d: Duration) {
-        self.elapsed += d;
-        self.network += d;
-    }
-
-    /// Total virtual time.
-    pub fn elapsed(&self) -> Duration {
-        self.elapsed
-    }
-
-    /// CPU component.
-    pub fn cpu(&self) -> Duration {
-        self.cpu
-    }
-
-    /// Network component.
-    pub fn network(&self) -> Duration {
-        self.network
-    }
-
-    /// Fraction of total time spent in CPU (encode/decode) work — the
-    /// paper's "66% of the total cost" observation for MPI exchanges (§4.1).
-    pub fn cpu_fraction(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            return 0.0;
-        }
-        self.cpu.as_secs_f64() / self.elapsed.as_secs_f64()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn accumulates_components() {
-        let mut c = VirtualClock::new();
-        c.advance_cpu(Duration::from_millis(2));
-        c.advance_network(Duration::from_millis(1));
-        c.advance_cpu(Duration::from_millis(2));
-        assert_eq!(c.elapsed(), Duration::from_millis(5));
-        assert_eq!(c.cpu(), Duration::from_millis(4));
-        assert_eq!(c.network(), Duration::from_millis(1));
-        assert!((c.cpu_fraction() - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_clock_fraction_is_zero() {
-        assert_eq!(VirtualClock::new().cpu_fraction(), 0.0);
-    }
 
     #[test]
     fn clock_sync_recovers_a_known_offset() {

@@ -170,13 +170,6 @@ impl FaultPlan {
         self
     }
 
-    /// Add a read-side stall.
-    pub fn stall_read(mut self, at: u64, millis: u32) -> FaultPlan {
-        self.read.push(FaultOp::ReadStall { at, millis });
-        self.read.sort_by_key(FaultOp::at);
-        self
-    }
-
     /// Add a write-side truncation.
     pub fn partial_write(mut self, at: u64, max: usize) -> FaultPlan {
         self.write.push(FaultOp::PartialWrite { at, max });

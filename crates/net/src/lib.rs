@@ -10,10 +10,8 @@
 //!   [`link::SimLink::paper_ethernet`], calibrated so that its one-way times
 //!   for 100 B / 1 KB / 10 KB / 100 KB messages match the network components
 //!   the paper reports in Figure 1,
-//! * [`clock::VirtualClock`] — accumulates simulated network time alongside
-//!   real measured CPU time; [`clock::ClockSync`] estimates cross-process
-//!   clock offsets from one timestamp exchange (distributed tracing's
-//!   skew correction),
+//! * [`clock::ClockSync`] — estimates cross-process clock offsets from
+//!   one timestamp exchange (distributed tracing's skew correction),
 //! * [`frame`] — the timeout-aware session-frame codec `pbio-serv` speaks
 //!   on the wire (PBIO record streams ride inside frame bodies), with a
 //!   CRC-32 header checksum so in-flight corruption is detected rather
@@ -53,7 +51,7 @@ pub mod metrics;
 pub mod poll;
 
 pub use buf::WireBuf;
-pub use clock::{ClockSync, VirtualClock};
+pub use clock::ClockSync;
 pub use dial::{backoff_delay, dial_retry};
 pub use fault::{FaultLog, FaultOp, FaultPlan, FaultyStream, MaybeFaulty};
 pub use frame::{read_frame, write_frame, Frame, FrameError};

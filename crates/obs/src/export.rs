@@ -432,7 +432,7 @@ pub struct TopoChannel {
 }
 
 /// One daemon↔daemon mesh link as the dialing side sees it: liveness
-/// plus the relay counters `pbio-top` renders per peer.
+/// plus the relay counters `pbio-ctl top` renders per peer.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TopoPeer {
     /// The peer daemon's mesh index.

@@ -479,12 +479,6 @@ impl ServClient {
         Ok(())
     }
 
-    /// Set the timeout applied to acknowledged requests (format and
-    /// channel registration, subscription, disconnect).
-    pub fn set_timeout(&mut self, timeout: Duration) {
-        self.timeout = timeout.max(MIN_TIMEOUT);
-    }
-
     /// This client's architecture profile.
     pub fn profile(&self) -> &ArchProfile {
         &self.profile
@@ -1309,12 +1303,6 @@ impl ServClient {
     /// `subscribe_from` resume.
     pub fn last_seen_offset(&self, channel: u32) -> Option<u64> {
         self.last_offsets.get(&channel).copied()
-    }
-
-    /// The clock offset measured against the daemon during the
-    /// handshake (identity when tracing was not negotiated).
-    pub fn clock_sync(&self) -> ClockSync {
-        self.clock
     }
 
     /// Change this client's head-sampling modulus locally (0 disables

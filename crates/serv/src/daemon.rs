@@ -387,7 +387,7 @@ fn effective_shards(config: &ServConfig) -> usize {
 }
 
 /// One reactor shard's metric handles, labeled `shard=<index>` so the
-/// `$stats` channel (and `pbio-stats`) can attribute load per event loop.
+/// `$stats` channel (and `pbio-ctl stats`) can attribute load per event loop.
 struct ShardMetrics {
     /// Poll returns (readiness events, waker nudges, or timeout ticks).
     wakeups: Arc<Counter>,
@@ -1126,7 +1126,7 @@ impl State {
             Some(cfg) => {
                 let store = Store::open(cfg.clone())?;
                 // Adopt the store's counters too: durability shows up on
-                // the `$stats` channel (and in `pbio-stats`) for free.
+                // the `$stats` channel (and in `pbio-ctl stats`) for free.
                 store.metrics().register(&registry);
                 // Crash recovery already ran channel-by-channel inside
                 // open; torn tails it truncated are flight-worthy.
@@ -1560,7 +1560,7 @@ impl State {
     }
 
     /// Drain the hop sink into `$trace` records, one per hop:
-    /// self-describing PBIO records, consumed by `pbio-trace` (or any raw
+    /// self-describing PBIO records, consumed by `pbio-ctl trace` (or any raw
     /// subscriber) with no schema agreed out of band. Undrained hops keep
     /// accumulating in the bounded sink, oldest evicted first.
     fn encode_hops(&self) -> Vec<(u32, WireBuf)> {
@@ -1944,11 +1944,6 @@ impl ServDaemon {
     /// events behind [`K_INSPECT`] dumps and [`ServConfig::flight_dump`].
     pub fn flight(&self) -> &Arc<FlightRecorder> {
         &self.state.flight
-    }
-
-    /// This daemon's mesh index, when it is a federation member.
-    pub fn mesh_index(&self) -> Option<u32> {
-        self.state.mesh.as_ref().map(|m| m.index)
     }
 
     /// Dial an additional mesh peer at run time (a late joiner, or a

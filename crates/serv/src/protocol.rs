@@ -309,7 +309,7 @@ pub const E_STALE: u32 = 7;
 /// request may be retried once load subsides; the session stays open.
 pub const E_BUSY: u32 = 8;
 
-/// Human-readable name for a frame kind — what `pbio-dump` prints per
+/// Human-readable name for a frame kind — what `pbio-ctl dump` prints per
 /// captured frame. Unknown kinds render as `"?"` (a capture may come
 /// from a newer daemon).
 pub fn kind_name(kind: u8) -> &'static str {

@@ -14,7 +14,7 @@
 //!
 //! A capture file is *self-describing*: it contains the session's own
 //! `FORMAT`/`ANNOUNCE` frames, so the layouts needed to decode event
-//! bodies travel inside the capture ([`capture_layouts`]) — `pbio-dump`
+//! bodies travel inside the capture ([`capture_layouts`]) — `pbio-ctl dump`
 //! decodes a capture offline, record by record, with no daemon and no
 //! out-of-band schema. And because the capture holds the client's exact
 //! inbound frame sequence, a session can be *re-driven* against a fresh

@@ -115,7 +115,7 @@ impl StoreConfig {
 /// All fields are plain [`pbio_obs::Counter`]s so a daemon can adopt
 /// them into its metric [`Registry`] with
 /// [`StoreMetrics::register`] — after which they flow through the
-/// `$stats` channel like every other metric, and `pbio-stats` displays
+/// `$stats` channel like every other metric, and `pbio-ctl stats` displays
 /// them with no tool changes.
 #[derive(Debug)]
 pub struct StoreMetrics {

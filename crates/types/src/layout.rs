@@ -99,17 +99,6 @@ impl ConcreteType {
         }
     }
 
-    /// True for the scalar (non-aggregate, non-variable) variants.
-    pub fn is_scalar(&self) -> bool {
-        matches!(
-            self,
-            ConcreteType::Int { .. }
-                | ConcreteType::Float { .. }
-                | ConcreteType::Char
-                | ConcreteType::Bool
-        )
-    }
-
     /// A short human-readable rendering, e.g. `i4`, `f8`, `f8[3]`.
     pub fn describe(&self) -> String {
         match self {

@@ -188,13 +188,6 @@ impl Assembler {
         self.emit(Inst::MovImm { r, v });
     }
 
-    /// Emit `r <- from`.
-    pub fn mov(&mut self, r: Reg, from: Reg) {
-        let r = self.check_reg(r);
-        let from = self.check_reg(from);
-        self.emit(Inst::Mov { r, from });
-    }
-
     /// Emit `r <- a + b`.
     pub fn add(&mut self, r: Reg, a: Reg, b: Reg) {
         let r = self.check_reg(r);

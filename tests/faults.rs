@@ -520,8 +520,10 @@ fn stalled_subscriber_is_evicted_after_the_stall_budget() {
 
 /// The CI fault-matrix workload: a daemon whose every connection is
 /// wrapped in a seeded fault plan (corruption, stalls, torn writes,
-/// mid-frame disconnects), under a resume publisher and subscriber.
-/// Whatever the seed throws, three invariants must hold: the run
+/// mid-frame disconnects), under a resume publisher and two resume
+/// subscribers: one x86-64 (zero-copy receive) and one big-endian
+/// SPARC (converted receive). Whatever the seed throws, three
+/// invariants must hold for both subscribers: the run
 /// terminates, every delivered record is self-consistent (byte-identical
 /// to a published one), and damage shows up in the reject/reconnect
 /// counters rather than in the data.
@@ -541,15 +543,15 @@ fn seeded_fault_matrix_workload_never_corrupts_delivered_events() {
 
     // Connecting itself runs through the faulty transport; retry a few
     // times (each attempt is a new connection with a new derived plan).
-    let connect = |what: &str| -> ServClient {
+    let connect = |what: &str, profile: &ArchProfile| -> ServClient {
         for _ in 0..10 {
-            if let Ok(c) = ServClient::connect_with(addr, &ArchProfile::X86_64, resume_client()) {
+            if let Ok(c) = ServClient::connect_with(addr, profile, resume_client()) {
                 return c;
             }
         }
         panic!("seed {seed}: {what} could not establish any session");
     };
-    let mut publisher = connect("publisher");
+    let mut publisher = connect("publisher", &ArchProfile::X86_64);
     let retry = |r: Result<u32, pbio_serv::ServError>,
                  publisher: &mut ServClient,
                  schema: &Schema,
@@ -580,18 +582,26 @@ fn seeded_fault_matrix_workload_never_corrupts_delivered_events() {
     let r = publisher.open_channel("matrix");
     let chan = retry(r, &mut publisher, &schema, "matrix");
 
-    let mut subscriber = connect("subscriber");
-    let r = subscriber.open_channel("matrix");
-    let sub_chan = retry(r, &mut subscriber, &schema, "matrix");
-    let mut subscribed = subscriber.subscribe(sub_chan, &schema, None).is_ok();
-    for _ in 0..20 {
-        if subscribed {
-            break;
+    let mut subscribers = Vec::new();
+    for profile in [ArchProfile::X86_64, ArchProfile::SPARC_V8] {
+        let mut subscriber = connect("subscriber", &profile);
+        let r = subscriber.open_channel("matrix");
+        let sub_chan = retry(r, &mut subscriber, &schema, "matrix");
+        let mut subscribed = subscriber.subscribe(sub_chan, &schema, None).is_ok();
+        for _ in 0..20 {
+            if subscribed {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(50));
+            subscribed = subscriber.subscribe(sub_chan, &schema, None).is_ok();
         }
-        std::thread::sleep(Duration::from_millis(50));
-        subscribed = subscriber.subscribe(sub_chan, &schema, None).is_ok();
+        assert!(
+            subscribed,
+            "seed {seed}: {} subscription never stuck",
+            profile.name
+        );
+        subscribers.push((profile.name, subscriber));
     }
-    assert!(subscribed, "seed {seed}: subscription never stuck");
 
     // The storm. Publish errors that are not outages (e.g. a remote
     // E_PROTOCOL for a frame the fault plan garbled) are tolerated —
@@ -607,50 +617,69 @@ fn seeded_fault_matrix_workload_never_corrupts_delivered_events() {
         }
     }
 
-    // Collect until quiet. Poll errors (corrupt announce, remote error)
-    // are counted and polling continues — never fatal, never wrong data.
-    let mut seen: Vec<i64> = Vec::new();
-    let mut poll_errors = 0u64;
-    let mut quiet = 0u32;
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while quiet < 8 && Instant::now() < deadline {
-        match subscriber.poll(Duration::from_millis(125)) {
-            Ok(Some(ev)) => {
-                quiet = 0;
-                let Some(Value::I64(s)) = ev.view.get("seq") else {
-                    panic!("seed {seed}: seq missing from delivered event")
-                };
-                let Some(Value::F64(t)) = ev.view.get("temp") else {
-                    panic!("seed {seed}: temp missing from delivered event")
-                };
-                assert!(
-                    (0..STORM).contains(&s),
-                    "seed {seed}: delivered seq {s} was never published"
-                );
-                assert_eq!(
-                    t,
-                    s as f64 * 0.5,
-                    "seed {seed}: delivered record differs from published bytes"
-                );
-                seen.push(s);
-            }
-            Ok(None) => quiet += 1,
-            Err(_) => {
-                poll_errors += 1;
-                quiet += 1;
-            }
-        }
-    }
-
-    // Per-session ordering survives faults: replay is FIFO and direct
-    // sends are FIFO, so the subscriber's view is strictly increasing.
-    assert!(
-        seen.windows(2).all(|w| w[0] < w[1]),
-        "seed {seed}: delivered sequence reordered or duplicated"
-    );
+    // Collect until quiet, each subscriber on its own thread. Poll
+    // errors (corrupt announce, remote error) are counted and polling
+    // continues — never fatal, never wrong data.
+    let drained: Vec<_> = std::thread::scope(|scope| {
+        let drains: Vec<_> = subscribers
+            .into_iter()
+            .map(|(arch, mut subscriber)| {
+                scope.spawn(move || {
+                    let mut seen: Vec<i64> = Vec::new();
+                    let mut poll_errors = 0u64;
+                    let mut quiet = 0u32;
+                    let deadline = Instant::now() + Duration::from_secs(30);
+                    while quiet < 8 && Instant::now() < deadline {
+                        match subscriber.poll(Duration::from_millis(125)) {
+                            Ok(Some(ev)) => {
+                                quiet = 0;
+                                let Some(Value::I64(s)) = ev.view.get("seq") else {
+                                    panic!(
+                                        "seed {seed}: seq missing from event delivered to {arch}"
+                                    )
+                                };
+                                let Some(Value::F64(t)) = ev.view.get("temp") else {
+                                    panic!(
+                                        "seed {seed}: temp missing from event delivered to {arch}"
+                                    )
+                                };
+                                assert!(
+                                    (0..STORM).contains(&s),
+                                    "seed {seed}: seq {s} delivered to {arch} was never published"
+                                );
+                                assert_eq!(
+                                    t,
+                                    s as f64 * 0.5,
+                                    "seed {seed}: record delivered to {arch} differs from \
+                                     published bytes"
+                                );
+                                seen.push(s);
+                            }
+                            Ok(None) => quiet += 1,
+                            Err(_) => {
+                                poll_errors += 1;
+                                quiet += 1;
+                            }
+                        }
+                    }
+                    // Per-session ordering survives faults: replay is FIFO
+                    // and direct sends are FIFO, so each subscriber's view
+                    // is strictly increasing.
+                    assert!(
+                        seen.windows(2).all(|w| w[0] < w[1]),
+                        "seed {seed}: sequence delivered to {arch} reordered or duplicated"
+                    );
+                    (arch, seen.len(), poll_errors, subscriber.stats())
+                })
+            })
+            .collect();
+        drains
+            .into_iter()
+            .map(|d| d.join().expect("subscriber drain"))
+            .collect()
+    });
 
     let p = publisher.stats();
-    let s = subscriber.stats();
     let d = daemon.stats();
     assert_eq!(
         p.publishes, STORM as u64,
@@ -666,19 +695,22 @@ fn seeded_fault_matrix_workload_never_corrupts_delivered_events() {
     // landed in counters or in nothing, never in the data. Summarize for
     // the CI log so each matrix cell shows what its seed exercised.
     eprintln!(
-        "seed {seed}: delivered {}/{STORM}, daemon rejected {} evicted {} resumed {}, \
-         client reconnects {}+{} rejected {}+{}, errors {}+{}",
-        seen.len(),
+        "seed {seed}: daemon rejected {} evicted {} resumed {}, publisher reconnects {} \
+         rejected {} errors {}",
         d.frames_rejected,
         d.evicted_dead + d.evicted_stalled,
         d.resumes,
         p.reconnects,
-        s.reconnects,
         p.frames_rejected,
-        s.frames_rejected,
         publish_errors,
-        poll_errors,
     );
+    for (arch, delivered, poll_errors, s) in drained {
+        eprintln!(
+            "seed {seed}: {arch} delivered {delivered}/{STORM}, reconnects {} rejected {} \
+             errors {poll_errors}",
+            s.reconnects, s.frames_rejected,
+        );
+    }
     daemon.shutdown();
 }
 
