@@ -10,6 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use pbio_net::fault::FaultPlan;
+use pbio_obs::export::TopoSnapshot;
 use pbio_serv::{
     ClientConfig, FlushPolicy, ServClient, ServConfig, ServDaemon, StoreConfig, TraceConfig,
 };
@@ -630,6 +631,155 @@ fn replay_concurrency_limit_returns_typed_busy_error() {
     publisher.disconnect().unwrap();
     wedged.disconnect().unwrap();
     refused.disconnect().unwrap();
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Poll `daemon.topology()` until `done` holds, or panic with the last
+/// snapshot after 10 s — teardown reaches the books within a reactor
+/// tick, not synchronously with the client's disconnect.
+fn await_topology(
+    daemon: &ServDaemon,
+    what: &str,
+    done: impl Fn(&TopoSnapshot) -> bool,
+) -> TopoSnapshot {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let topo = daemon.topology();
+        if done(&topo) {
+            return topo;
+        }
+        assert!(Instant::now() < deadline, "{what}: {topo:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+fn subscribers(topo: &TopoSnapshot, chan: u32) -> u64 {
+    topo.channels
+        .iter()
+        .find(|c| c.id == chan)
+        .map_or(u64::MAX, |c| c.subscribers)
+}
+
+/// One connection holds both kinds of subscription a durable channel
+/// has — a live `subscribe` on A and a `subscribe_from(0)` on B that has
+/// handed off to live delivery — and its disconnect removes both, along
+/// with every consumer-lag row it owned.
+#[test]
+fn disconnect_drops_live_and_handed_off_subscriptions() {
+    let dir = store_dir("teardown");
+    let daemon = ServDaemon::bind_with("127.0.0.1:0", durable_config(&dir)).unwrap();
+    let addr = daemon.local_addr();
+    let schema = tick_schema();
+
+    let mut publisher = ServClient::connect(addr, &ArchProfile::X86_64).unwrap();
+    let format = publisher.register_format(&schema).unwrap();
+    let a = publisher.open_channel_durable("teardown-a").unwrap();
+    let b = publisher.open_channel_durable("teardown-b").unwrap();
+    const HISTORY: i64 = 50;
+    for seq in 0..HISTORY {
+        publisher.publish_value(b, format, &tick(seq)).unwrap();
+    }
+    await_acks(&mut publisher, HISTORY as u64);
+
+    let mut client = ServClient::connect(addr, &ArchProfile::X86_64).unwrap();
+    let ca = client.open_channel("teardown-a").unwrap();
+    let cb = client.open_channel("teardown-b").unwrap();
+    assert_eq!((ca, cb), (a, b));
+    client.subscribe(ca, &schema, None).unwrap();
+    client.subscribe_from(cb, &schema, 0).unwrap();
+    let mut next = 0i64;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while next < HISTORY && Instant::now() < deadline {
+        if let Some(ev) = client.poll(Duration::from_millis(100)).unwrap() {
+            assert_eq!(seq_of(&ev), next);
+            next += 1;
+        }
+    }
+    assert_eq!(next, HISTORY, "the replay delivered all history");
+    // The replay registers its live subscription once disk has caught up
+    // with the head; wait for it so the handoff path is the one torn down.
+    await_topology(&daemon, "both subscriptions registered", |t| {
+        subscribers(t, a) == 1 && subscribers(t, b) == 1
+    });
+    let conn = client.conn_id();
+    assert_eq!(
+        daemon
+            .topology()
+            .lags
+            .iter()
+            .filter(|l| l.conn == conn)
+            .count(),
+        2,
+        "both subscriptions keep a lag watermark"
+    );
+
+    client.disconnect().unwrap();
+    let topo = await_topology(&daemon, "subscriptions outlived their connection", |t| {
+        subscribers(t, a) == 0 && subscribers(t, b) == 0
+    });
+    assert!(
+        topo.lags.iter().all(|l| l.conn != conn),
+        "no lag row outlives its connection: {:?}",
+        topo.lags
+    );
+
+    publisher.disconnect().unwrap();
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Durability is sticky: a channel first opened plain becomes durable
+/// when a later opener asks for it, and every publish after that is
+/// logged, stamped with its offset and acked; a plain open after that
+/// still finds the same channel.
+#[test]
+fn plain_channel_becomes_durable_on_a_later_durable_open() {
+    let dir = store_dir("sticky");
+    let daemon = ServDaemon::bind_with("127.0.0.1:0", durable_config(&dir)).unwrap();
+    let addr = daemon.local_addr();
+    let schema = tick_schema();
+
+    let mut plain = ServClient::connect(addr, &ArchProfile::X86_64).unwrap();
+    let chan = plain.open_channel("sticky").unwrap();
+    plain.subscribe(chan, &schema, None).unwrap();
+
+    let mut publisher = ServClient::connect(addr, &ArchProfile::X86_64).unwrap();
+    let format = publisher.register_format(&schema).unwrap();
+    assert_eq!(publisher.open_channel_durable("sticky").unwrap(), chan);
+    const N: i64 = 40;
+    for seq in 0..N {
+        publisher.publish_value(chan, format, &tick(seq)).unwrap();
+    }
+    await_acks(&mut publisher, N as u64);
+    assert_eq!(publisher.last_durable_offset(chan), Some(N as u64 - 1));
+
+    let mut next = 0i64;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while next < N && Instant::now() < deadline {
+        if let Some(ev) = plain.poll(Duration::from_millis(100)).unwrap() {
+            assert_eq!(seq_of(&ev), next);
+            assert_eq!(ev.offset, Some(next as u64), "offset rides the event");
+            next += 1;
+        }
+    }
+    assert_eq!(next, N, "the plain subscriber saw every event");
+
+    let topo = daemon.topology();
+    let row = topo
+        .channels
+        .iter()
+        .find(|c| c.id == chan)
+        .expect("the channel has a $topo row");
+    assert!(row.durable, "durability stuck: {row:?}");
+    assert_eq!(row.head, N as u64);
+
+    let mut late = ServClient::connect(addr, &ArchProfile::X86_64).unwrap();
+    assert_eq!(late.open_channel("sticky").unwrap(), chan);
+
+    late.disconnect().unwrap();
+    plain.disconnect().unwrap();
+    publisher.disconnect().unwrap();
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
