@@ -188,11 +188,6 @@ impl Channel {
         }
     }
 
-    /// Number of active subscriptions.
-    pub fn subscriber_count(&self) -> usize {
-        self.fanout.active_count()
-    }
-
     /// Publish one event given as the source's native bytes. Returns the
     /// number of subscribers it was delivered to.
     pub fn publish(&mut self, native: &[u8]) -> Result<usize, ChannelError> {
@@ -330,7 +325,6 @@ mod tests {
         chan.unsubscribe(id).unwrap();
         chan.publish_value(&reading(2, 0.0, false)).unwrap();
         assert_eq!(count.load(Ordering::Relaxed), 1);
-        assert_eq!(chan.subscriber_count(), 0);
         assert!(matches!(
             chan.unsubscribe(SubscriptionId(99)),
             Err(ChannelError::UnknownSubscription(_))

@@ -63,7 +63,7 @@ mod sys {
     const MASK_BITS: usize = 1024;
     const MASK_WORDS: usize = MASK_BITS / 64;
 
-    pub fn setaffinity(cpu: usize) -> io::Result<()> {
+    pub(super) fn setaffinity(cpu: usize) -> io::Result<()> {
         if cpu >= MASK_BITS {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,

@@ -14,7 +14,6 @@
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClockSync {
     offset_ns: i64,
-    rtt_ns: u64,
 }
 
 impl ClockSync {
@@ -28,23 +27,15 @@ impl ClockSync {
     /// taken while serving it. Assumes symmetric paths; the error is
     /// bounded by `rtt / 2`.
     pub fn from_exchange(t_send: u64, t_peer: u64, t_recv: u64) -> ClockSync {
-        let rtt_ns = t_recv.saturating_sub(t_send);
-        let midpoint = t_send.saturating_add(rtt_ns / 2);
+        let midpoint = t_send.saturating_add(t_recv.saturating_sub(t_send) / 2);
         ClockSync {
             offset_ns: t_peer as i64 - midpoint as i64,
-            rtt_ns,
         }
     }
 
     /// Estimated `peer - local` offset in nanoseconds.
     pub fn offset_ns(&self) -> i64 {
         self.offset_ns
-    }
-
-    /// Round-trip time of the measuring exchange (the error bound is
-    /// half of it).
-    pub fn rtt_ns(&self) -> u64 {
-        self.rtt_ns
     }
 
     /// Map a local timestamp into the peer's timebase.
@@ -65,7 +56,6 @@ mod tests {
         let t_recv = t_send + 20_000;
         let sync = ClockSync::from_exchange(t_send, t_peer, t_recv);
         assert_eq!(sync.offset_ns(), 1_000_000);
-        assert_eq!(sync.rtt_ns(), 20_000);
         assert_eq!(sync.to_peer(t_recv), t_recv + 1_000_000);
     }
 

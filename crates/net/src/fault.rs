@@ -156,25 +156,21 @@ impl FaultPlan {
         FaultPlan::from_seed(seed ^ conn.wrapping_mul(0x9E37_79B9_7F4A_7C15))
     }
 
+    /// Add `op` to the write direction (`write`) or the read direction.
+    fn with(mut self, write: bool, op: FaultOp) -> FaultPlan {
+        let ops = if write {
+            &mut self.write
+        } else {
+            &mut self.read
+        };
+        ops.push(op);
+        ops.sort_by_key(FaultOp::at);
+        self
+    }
+
     /// Add a read-side corruption.
-    pub fn corrupt_read(mut self, at: u64, xor: u8) -> FaultPlan {
-        self.read.push(FaultOp::CorruptByte { at, xor });
-        self.read.sort_by_key(FaultOp::at);
-        self
-    }
-
-    /// Add a write-side corruption.
-    pub fn corrupt_write(mut self, at: u64, xor: u8) -> FaultPlan {
-        self.write.push(FaultOp::CorruptByte { at, xor });
-        self.write.sort_by_key(FaultOp::at);
-        self
-    }
-
-    /// Add a write-side truncation.
-    pub fn partial_write(mut self, at: u64, max: usize) -> FaultPlan {
-        self.write.push(FaultOp::PartialWrite { at, max });
-        self.write.sort_by_key(FaultOp::at);
-        self
+    pub fn corrupt_read(self, at: u64, xor: u8) -> FaultPlan {
+        self.with(false, FaultOp::CorruptByte { at, xor })
     }
 
     /// Add a *short write on flush*: the write covering offset `at`
@@ -185,22 +181,13 @@ impl FaultPlan {
     /// retry is refused, and whatever was buffered past the tear never
     /// reaches the file.
     pub fn short_write_on_flush(self, at: u64, keep: usize) -> FaultPlan {
-        self.partial_write(at, keep.max(1))
-            .disconnect_write(at + keep.max(1) as u64)
-    }
-
-    /// Sever the read direction at `at` (the peer vanishes mid-frame).
-    pub fn disconnect_read(mut self, at: u64) -> FaultPlan {
-        self.read.push(FaultOp::Disconnect { at });
-        self.read.sort_by_key(FaultOp::at);
-        self
-    }
-
-    /// Sever the write direction at `at`.
-    pub fn disconnect_write(mut self, at: u64) -> FaultPlan {
-        self.write.push(FaultOp::Disconnect { at });
-        self.write.sort_by_key(FaultOp::at);
-        self
+        let max = keep.max(1);
+        self.with(true, FaultOp::PartialWrite { at, max }).with(
+            true,
+            FaultOp::Disconnect {
+                at: at + max as u64,
+            },
+        )
     }
 
     /// This plan with only its read-side ops (for wrapping the read half
@@ -227,12 +214,12 @@ impl FaultPlan {
 }
 
 /// One fault that actually fired, as recorded in a [`FaultLog`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEvent {
+#[derive(Debug, Clone, Copy)]
+struct FaultEvent {
     /// `true` if the fault fired on the write direction.
-    pub write: bool,
+    write: bool,
     /// The op that fired (anchor offset included).
-    pub op: FaultOp,
+    op: FaultOp,
 }
 
 /// Shared, append-only record of every fault a [`FaultyStream`] injected.
@@ -257,19 +244,11 @@ impl FaultLog {
             .push(FaultEvent { write, op });
     }
 
-    /// Snapshot of every fault fired so far (both directions, in firing
-    /// order).
-    pub fn events(&self) -> Vec<FaultEvent> {
-        self.events
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
-    }
-
     /// The fired ops of one direction, in order.
     pub fn direction(&self, write: bool) -> Vec<FaultOp> {
-        self.events()
-            .into_iter()
+        let events = self.events.lock().unwrap_or_else(|p| p.into_inner());
+        events
+            .iter()
             .filter(|e| e.write == write)
             .map(|e| e.op)
             .collect()
@@ -644,7 +623,7 @@ mod tests {
     #[test]
     fn read_disconnect_truncates_at_the_offset() {
         let data = vec![7u8; 100];
-        let plan = FaultPlan::new().disconnect_read(40);
+        let plan = FaultPlan::new().with(false, FaultOp::Disconnect { at: 40 });
         let mut s = FaultyStream::new(Cursor::new(data), plan, FaultLog::new());
         let (got, err) = drain(&mut s);
         assert!(err.is_none(), "read disconnect is EOF, not an error");
@@ -653,7 +632,9 @@ mod tests {
 
     #[test]
     fn write_faults_truncate_and_sever() {
-        let plan = FaultPlan::new().partial_write(0, 3).disconnect_write(10);
+        let plan = FaultPlan::new()
+            .with(true, FaultOp::PartialWrite { at: 0, max: 3 })
+            .with(true, FaultOp::Disconnect { at: 10 });
         let mut s = FaultyStream::new(Vec::new(), plan, FaultLog::new());
         // First write is clamped to 3 bytes.
         assert_eq!(s.write(&[1u8; 8]).unwrap(), 3);
@@ -666,7 +647,7 @@ mod tests {
 
     #[test]
     fn write_corruption_modifies_a_copy_not_the_caller_buffer() {
-        let plan = FaultPlan::new().corrupt_write(2, 0x80);
+        let plan = FaultPlan::new().with(true, FaultOp::CorruptByte { at: 2, xor: 0x80 });
         let mut s = FaultyStream::new(Vec::new(), plan, FaultLog::new());
         let buf = [0u8; 6];
         let mut written = 0;
@@ -727,7 +708,9 @@ mod tests {
                 Ok(())
             }
         }
-        let plan = FaultPlan::new().partial_write(0, 3).corrupt_write(5, 0x80);
+        let plan = FaultPlan::new()
+            .with(true, FaultOp::PartialWrite { at: 0, max: 3 })
+            .with(true, FaultOp::CorruptByte { at: 5, xor: 0x80 });
         let log = FaultLog::new();
         let mut s = FaultyStream::new(
             Congested {
@@ -820,9 +803,9 @@ mod tests {
     #[test]
     fn vectored_writes_fire_faults_at_the_offsets_plain_writes_do() {
         let plan = FaultPlan::new()
-            .partial_write(20, 3)
-            .corrupt_write(50, 0x80)
-            .corrupt_write(200, 0x01);
+            .with(true, FaultOp::PartialWrite { at: 20, max: 3 })
+            .with(true, FaultOp::CorruptByte { at: 50, xor: 0x80 })
+            .with(true, FaultOp::CorruptByte { at: 200, xor: 0x01 });
         let (mut batch, wire) = full_batch();
         let log = FaultLog::new();
         let mut vectored = FaultyStream::new(Vec::new(), plan.clone(), log.clone());

@@ -47,7 +47,7 @@ pub mod dial;
 pub mod fault;
 pub mod frame;
 pub mod link;
-pub mod metrics;
+mod metrics;
 pub mod poll;
 
 pub use buf::WireBuf;

@@ -30,31 +30,9 @@ impl SimLink {
         }
     }
 
-    /// An idealized 100 Mbps link: 100 µs latency, full line rate.
-    pub fn ideal_100mbps() -> SimLink {
-        SimLink {
-            latency: Duration::from_micros(100),
-            byte_time: Duration::from_nanos(80),
-        }
-    }
-
-    /// A modern-ish 10 Gbps datacenter link, for what-if sweeps.
-    pub fn datacenter_10g() -> SimLink {
-        SimLink {
-            latency: Duration::from_micros(10),
-            byte_time: Duration::from_nanos(1),
-        }
-    }
-
     /// One-way transfer time for `bytes` payload bytes.
     pub fn transfer_time(&self, bytes: usize) -> Duration {
         self.latency + self.byte_time * (bytes as u32)
-    }
-
-    /// Round-trip time for a request of `fwd` bytes and a reply of `back`
-    /// bytes (no processing time included).
-    pub fn round_trip_time(&self, fwd: usize, back: usize) -> Duration {
-        self.transfer_time(fwd) + self.transfer_time(back)
     }
 }
 
@@ -70,7 +48,6 @@ mod tests {
         };
         assert_eq!(l.transfer_time(0), Duration::from_micros(100));
         assert_eq!(l.transfer_time(1000), Duration::from_micros(200));
-        assert_eq!(l.round_trip_time(1000, 0), Duration::from_micros(300));
     }
 
     #[test]
@@ -92,16 +69,5 @@ mod tests {
                 "{bytes} B: got {got:.1} µs, paper {expect_us} µs"
             );
         }
-    }
-
-    #[test]
-    fn faster_links_are_faster() {
-        let n = 100_000;
-        assert!(
-            SimLink::datacenter_10g().transfer_time(n) < SimLink::ideal_100mbps().transfer_time(n)
-        );
-        assert!(
-            SimLink::ideal_100mbps().transfer_time(n) < SimLink::paper_ethernet().transfer_time(n)
-        );
     }
 }

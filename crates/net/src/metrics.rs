@@ -10,25 +10,25 @@ use std::sync::{Arc, OnceLock};
 use pbio_obs::{Counter, Histogram, Registry};
 
 /// Pre-resolved handles for the frame codec's counters.
-pub struct NetMetrics {
+pub(crate) struct NetMetrics {
     /// Bytes read off the wire (headers + bodies).
-    pub bytes_in: Arc<Counter>,
+    pub(crate) bytes_in: Arc<Counter>,
     /// Bytes written to the wire (headers + bodies).
-    pub bytes_out: Arc<Counter>,
+    pub(crate) bytes_out: Arc<Counter>,
     /// Frames fully read.
-    pub frames_in: Arc<Counter>,
+    pub(crate) frames_in: Arc<Counter>,
     /// Frames rejected by the checksum (corrupted in flight).
-    pub frames_corrupt: Arc<Counter>,
+    pub(crate) frames_corrupt: Arc<Counter>,
     /// Frames fully written.
-    pub frames_out: Arc<Counter>,
+    pub(crate) frames_out: Arc<Counter>,
     /// Vectored write calls issued (≈ syscalls on a raw socket).
-    pub writes: Arc<Counter>,
+    pub(crate) writes: Arc<Counter>,
     /// Frames coalesced per vectored write.
-    pub write_batch: Arc<Histogram>,
+    pub(crate) write_batch: Arc<Histogram>,
 }
 
 /// The codec's metric handles (resolved into [`Registry::global`] once).
-pub fn net_metrics() -> &'static NetMetrics {
+pub(crate) fn net_metrics() -> &'static NetMetrics {
     static M: OnceLock<NetMetrics> = OnceLock::new();
     M.get_or_init(|| {
         let r = Registry::global();

@@ -181,10 +181,10 @@ mod sys {
     /// `struct pollfd` as the kernel ABI defines it.
     #[repr(C)]
     #[derive(Clone, Copy)]
-    pub struct PollFd {
-        pub fd: i32,
-        pub events: i16,
-        pub revents: i16,
+    pub(super) struct PollFd {
+        pub(super) fd: i32,
+        pub(super) events: i16,
+        pub(super) revents: i16,
     }
 
     #[repr(C)]
@@ -193,12 +193,12 @@ mod sys {
         nsec: i64,
     }
 
-    pub const POLLIN: i16 = 0x001;
-    pub const POLLPRI: i16 = 0x002;
-    pub const POLLOUT: i16 = 0x004;
-    pub const POLLERR: i16 = 0x008;
-    pub const POLLHUP: i16 = 0x010;
-    pub const POLLNVAL: i16 = 0x020;
+    pub(super) const POLLIN: i16 = 0x001;
+    pub(super) const POLLPRI: i16 = 0x002;
+    pub(super) const POLLOUT: i16 = 0x004;
+    pub(super) const POLLERR: i16 = 0x008;
+    pub(super) const POLLHUP: i16 = 0x010;
+    pub(super) const POLLNVAL: i16 = 0x020;
 
     const EINTR: isize = 4;
 
@@ -210,7 +210,7 @@ mod sys {
     /// Raw `ppoll(2)`. The kernel may update the timespec in place (the
     /// raw syscall writes back remaining time), which is why a fresh one
     /// is built per call.
-    pub fn ppoll(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
+    pub(super) fn ppoll(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
         let mut ts = Timespec {
             sec: timeout.as_secs().min(i64::MAX as u64) as i64,
             nsec: timeout.subsec_nanos() as i64,

@@ -168,10 +168,14 @@ impl Registry {
         self.gauge(&labeled(name, key, value))
     }
 
-    /// Get or create the gauge `name{k1="v1",k2="v2"}` — two-dimensional
-    /// level tracking (e.g. consumer lag per channel *and* connection).
-    pub fn gauge_labeled2(&self, name: &str, k1: &str, v1: &str, k2: &str, v2: &str) -> Arc<Gauge> {
-        self.gauge(&labeled2(name, k1, v1, k2, v2))
+    /// Remove the metric `name`, of whatever kind; `false` if there was
+    /// none. Handles already resolved keep working, but the metric leaves
+    /// every later snapshot — for a metric whose subject is gone, like a
+    /// departed subscriber's lag gauge.
+    pub fn remove(&self, name: &str) -> bool {
+        let mut shard = self.shards[shard_for(name)].lock().unwrap();
+        let found = shard.iter().position(|(n, _)| n == name);
+        found.map(|i| shard.swap_remove(i)).is_some()
     }
 
     /// Register (or replace) `name` with an externally-owned counter — used to
@@ -353,6 +357,26 @@ mod tests {
         assert_eq!(s1.counter("c"), Some(7));
         assert_eq!(s1.gauge("depth"), Some(-6));
         assert_eq!(s1.histogram("lat").unwrap().count, 3);
+    }
+
+    #[test]
+    fn remove_drops_a_metric_from_snapshots_and_a_later_get_recreates_it() {
+        let r = Registry::new();
+        let lag = labeled2("lag", "chan", "a", "conn", "7");
+        let g = r.gauge(&lag);
+        g.set(5);
+        r.gauge("other").set(1);
+        assert!(r.remove(&lag));
+        assert!(!r.remove(&lag), "a second remove finds nothing");
+        assert!(!r.remove("never-registered"));
+        // The held handle still works, but no longer reports.
+        g.set(9);
+        let snap = r.snapshot();
+        assert_eq!(snap.gauge(&lag), None);
+        assert_eq!(snap.gauge("other"), Some(1));
+        // The name is free again, for any kind.
+        r.counter(&lag).inc();
+        assert_eq!(r.snapshot().counter(&lag), Some(1));
     }
 
     #[test]

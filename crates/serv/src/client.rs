@@ -838,12 +838,6 @@ impl ServClient {
         from: u64,
     ) -> Result<(), ServError> {
         self.reader.expect(schema)?;
-        self.subscribe_from_raw(channel, from)
-    }
-
-    /// [`ServClient::subscribe_from`] without declaring a record schema;
-    /// consume through [`ServClient::poll_raw`].
-    pub fn subscribe_from_raw(&mut self, channel: u32, from: u64) -> Result<(), ServError> {
         self.ensure_connected()?;
         if self.caps & CAP_DURABLE == 0 {
             return Err(ServError::Protocol(

@@ -42,6 +42,14 @@
 //! daemon's thread count is O(shards), not O(connections): 10k idle
 //! subscribers cost file descriptors, not stacks.
 //!
+//! ## Channels and subscriptions
+//!
+//! A channel is resolved once, when opened, into one `Channel` record
+//! that its dense id indexes, so every per-event path takes one table
+//! lock however the channel is configured. Each connection keeps one
+//! subscription list, appended to by `K_SUBSCRIBE` and by a replay's
+//! handoff to live delivery alike, and drained by teardown.
+//!
 //! The fan-out path is allocation-flat: a published event is copied once
 //! into a shared [`WireBuf`] as it is decoded off the publisher's socket,
 //! and every subscriber queue, ANNOUNCE body, and outgoing frame after
@@ -77,8 +85,8 @@ use pbio_obs::export::{
     ROLE_DAEMON,
 };
 use pbio_obs::{
-    epoch_ns, Bounded, Counter, FlightRecorder, Gauge, Histogram, Overflow, Registry, Span,
-    TraceCtx, TraceSink, FL_CONNECT, FL_EVICT, FL_FAULT, FL_PROTO_ERROR, FL_REPAIR,
+    epoch_ns, labeled2, Bounded, Counter, FlightRecorder, Gauge, Histogram, Overflow, Registry,
+    Span, TraceCtx, TraceSink, FL_CONNECT, FL_EVICT, FL_FAULT, FL_PROTO_ERROR, FL_REPAIR,
     FL_REPLAY_FINISH, FL_REPLAY_START, FL_RESUME, FL_SHUTDOWN, FL_TAP_DROP, FL_TAP_ROTATE,
     FL_TAP_START, FL_TAP_STOP, HOP_ENQUEUE, HOP_FLUSH, HOP_INGRESS, HOP_PUBLISH, HOP_RELAY,
 };
@@ -95,6 +103,11 @@ use crate::tap::{TapConfig, TapEntry, TapMode, TapState, CAPTURE_CHANNEL, TAP_IN
 /// Upper bound on one reactor poll wait: the cadence of shutdown checks
 /// and heartbeat scans when no readiness event arrives sooner.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
+
+/// Flight-recorder ring capacity: how many recent lifecycle events
+/// (connect/evict/resume, protocol errors, repairs, replays) the
+/// daemon's black box retains for [`K_INSPECT`] and post-mortems.
+const FLIGHT_CAPACITY: usize = 256;
 
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
@@ -145,10 +158,6 @@ pub struct ServConfig {
     /// default — disables durability entirely: the publish path takes no
     /// extra allocation or syscall.
     pub durability: Option<StoreConfig>,
-    /// Flight-recorder ring capacity: how many recent lifecycle events
-    /// (connect/evict/resume, protocol errors, repairs, replays) the
-    /// daemon's black box retains for [`K_INSPECT`] and post-mortems.
-    pub flight_capacity: usize,
     /// When set, flight events are additionally drained — incrementally,
     /// off the hot path, with every batch fsynced — into a `pbio-store`
     /// segment log under this directory. A killed daemon leaves a
@@ -194,7 +203,6 @@ impl Default for ServConfig {
             stall_budget: Duration::from_secs(2),
             fault_seed: None,
             durability: None,
-            flight_capacity: 256,
             flight_dump: None,
             tap: None,
             pin_shards: false,
@@ -780,11 +788,11 @@ struct ConnShared {
     /// (the poll reports the severed fd), which closing the queue alone
     /// cannot do.
     raw: Mutex<Option<Arc<TcpStream>>>,
-    /// Live subscriptions registered *by replay threads* at their
-    /// replay→live handoff (`K_SUBSCRIBE_FROM`). The owning reactor
-    /// cannot own these — it never sees them created — so teardown
-    /// drains this list instead.
-    durable_subs: Mutex<Vec<(u32, SubscriptionId)>>,
+    /// Every live subscription this connection holds, as `(channel,
+    /// id)`: `K_SUBSCRIBE` appends on the reactor, a replay thread at its
+    /// replay→live handoff. Teardown drains it. Never held while a
+    /// fan-out lock is taken, nor taken under one.
+    subs: Mutex<Vec<(u32, SubscriptionId)>>,
     /// The reactor shard this connection is pinned to, for flush nudges.
     shard: Arc<ShardHandle>,
     /// Index of that shard, for topology snapshots.
@@ -885,8 +893,8 @@ struct RemoteSubscriber {
     formats: Arc<FormatServer>,
     /// Hop sink shared with every other tracing stage.
     sink: Arc<TraceSink>,
-    /// This channel's labeled hop histograms.
-    hops: Option<Arc<ChanHops>>,
+    /// This channel's `hop_enqueue_ns{chan=…}`.
+    enqueue_ns: Arc<Histogram>,
     /// Stall-escalation counter, bumped when this subscriber's queue
     /// overflow outlives the stall budget and the connection is evicted.
     evicted_stalled: Arc<Counter>,
@@ -897,6 +905,29 @@ struct RemoteSubscriber {
     /// Events a subscriber's own filter suppresses are *not* delivered,
     /// so a filtering durable subscriber legitimately shows lag.
     delivered: Option<Arc<AtomicU64>>,
+}
+
+impl RemoteSubscriber {
+    fn new(
+        state: &State,
+        conn: &Arc<ConnShared>,
+        chan: u32,
+        channel: &Channel,
+        predicate: Option<Predicate>,
+        delivered: Option<Arc<AtomicU64>>,
+    ) -> RemoteSubscriber {
+        RemoteSubscriber {
+            conn: conn.clone(),
+            channel: chan,
+            predicate,
+            compiled: HashMap::new(),
+            formats: state.formats.clone(),
+            sink: state.hops.clone(),
+            enqueue_ns: channel.enqueue_ns.clone(),
+            evicted_stalled: state.metrics.evicted_stalled.clone(),
+            delivered,
+        }
+    }
 }
 
 impl Subscriber for RemoteSubscriber {
@@ -957,9 +988,7 @@ impl Subscriber for RemoteSubscriber {
         }
         if let Some(ctx) = trace {
             let hop = ctx.hop(HOP_ENQUEUE, self.conn.id, self.channel, epoch_ns());
-            if let Some(h) = &self.hops {
-                h.enqueue_ns.record(hop.dur_ns);
-            }
+            self.enqueue_ns.record(hop.dur_ns);
             self.sink.push(hop);
         }
         Ok(match outcome {
@@ -983,28 +1012,89 @@ impl Subscriber for RemoteSubscriber {
 // ---------------------------------------------------------------------------
 // Daemon state.
 
-struct Channels {
-    by_name: HashMap<String, u32>,
-    by_id: HashMap<u32, Arc<Mutex<Fanout<RemoteSubscriber>>>>,
-    /// id → name, shared so the mesh forward path labels work without
-    /// re-allocating the name per publish.
-    name_by_id: HashMap<u32, Arc<str>>,
-    /// id → home daemon's mesh index (this daemon's own index for local
-    /// and reserved channels; 0 when no mesh is configured).
-    home_by_id: HashMap<u32, u32>,
-    next: u32,
+/// Every opened channel. Ids count up densely from 0, so an id is its
+/// index in `by_id`; channels are never closed.
+struct ChannelTable {
+    by_name: HashMap<Arc<str>, u32>,
+    by_id: Vec<Arc<Channel>>,
 }
 
-/// One channel's labeled per-hop latency histograms, resolved once when
-/// the channel is opened — the hot path records through `Arc`s and never
-/// composes a label string.
-struct ChanHops {
-    /// `hop_ingress_ns{chan=…}`: publish stamp → daemon receipt.
+/// One channel, resolved once when it is opened: every path that names
+/// a channel by id reaches all of its state through one table lookup.
+struct Channel {
+    /// Shared, so the mesh forward path labels work without
+    /// re-allocating the name per publish.
+    name: Arc<str>,
+    /// The home daemon's mesh index (this daemon's own index for local
+    /// and reserved channels; 0 when no mesh is configured).
+    home: u32,
+    fanout: Mutex<Fanout<RemoteSubscriber>>,
+    /// The labelled per-hop latency histograms, resolved here so the hot
+    /// paths never compose a label string. `hop_ingress_ns{chan=…}`:
+    /// publish stamp → daemon receipt.
     ingress_ns: Arc<Histogram>,
     /// `hop_enqueue_ns{chan=…}`: publish stamp → subscriber queue.
     enqueue_ns: Arc<Histogram>,
     /// `hop_flush_ns{chan=…}`: publish stamp → subscriber socket write.
     flush_ns: Arc<Histogram>,
+    /// The segment log, set by the first [`CHAN_DURABLE`] open and kept:
+    /// durability is sticky.
+    log: OnceLock<Arc<ChannelLog>>,
+    /// Consumer-lag entries of this durable channel's subscribers, one
+    /// per connection, created at subscribe time and dropped with the
+    /// connection.
+    lags: Mutex<Vec<Lag>>,
+}
+
+/// One durable subscriber's consumer-lag books.
+struct Lag {
+    conn: u32,
+    /// Events delivered (equivalently the next offset due).
+    delivered: Arc<AtomicU64>,
+    /// `serv_consumer_lag{chan,conn}`, registered with the entry and
+    /// removed from the registry with it.
+    gauge: Arc<Gauge>,
+}
+
+impl Channel {
+    fn fanout(&self) -> MutexGuard<'_, Fanout<RemoteSubscriber>> {
+        self.fanout.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    fn lag_gauge_name(&self, conn: u32) -> String {
+        labeled2(
+            "serv_consumer_lag",
+            "chan",
+            &self.name,
+            "conn",
+            &conn.to_string(),
+        )
+    }
+
+    /// Register (or fetch) the delivered watermark for one durable
+    /// subscriber, seeded at `init` when new.
+    fn lag_entry(&self, registry: &Registry, conn: u32, init: u64) -> Arc<AtomicU64> {
+        let mut lags = self.lags.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(lag) = lags.iter().find(|l| l.conn == conn) {
+            return lag.delivered.clone();
+        }
+        let delivered = Arc::new(AtomicU64::new(init));
+        lags.push(Lag {
+            conn,
+            delivered: delivered.clone(),
+            gauge: registry.gauge(&self.lag_gauge_name(conn)),
+        });
+        delivered
+    }
+
+    /// Drop a departed connection's lag entry and its gauge.
+    fn drop_lag(&self, registry: &Registry, conn: u32) {
+        let mut lags = self.lags.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(i) = lags.iter().position(|l| l.conn == conn) {
+            lags.swap_remove(i);
+            registry.remove(&self.lag_gauge_name(conn));
+        }
+    }
 }
 
 /// One client identity's resume registration: the highest epoch seen and
@@ -1016,7 +1106,7 @@ struct Session {
 
 struct State {
     formats: Arc<FormatServer>,
-    channels: Mutex<Channels>,
+    channels: Mutex<ChannelTable>,
     /// Per-daemon metric registry; the source of [`ServStats`] and of the
     /// snapshots published on [`STATS_CHANNEL`].
     registry: Arc<Registry>,
@@ -1051,8 +1141,6 @@ struct State {
     /// Hop records from every tracing stage, bounded; drained by the
     /// background exporter onto [`TRACE_CHANNEL`].
     hops: Arc<TraceSink>,
-    /// Per-channel hop histograms, resolved at channel open.
-    chan_hops: Mutex<HashMap<u32, Arc<ChanHops>>>,
     /// The fixed-shape observability records' formats (see
     /// [`fixed_format`]): hop and topology registered on first use, the
     /// flight record at bind when [`ServConfig::flight_dump`] is set.
@@ -1080,16 +1168,10 @@ struct State {
     /// CPU each reactor shard is pinned to (`-1` = unpinned), written by
     /// the shard thread at startup, read by topology capture.
     shard_cpus: Vec<AtomicI64>,
-    /// Durable consumer-lag watermarks: `(channel, conn)` → events
-    /// delivered. Entries are created at subscribe time and dropped with
-    /// the connection.
-    lags: Mutex<HashMap<(u32, u32), Arc<AtomicU64>>>,
     /// The segment-log store behind durable channels (`None` = durability
     /// disabled; the publish path then skips every store branch on one
     /// `Option` check).
     store: Option<Arc<Store>>,
-    /// Channel id → its segment log, for channels opened [`CHAN_DURABLE`].
-    logs: Mutex<HashMap<u32, Arc<ChannelLog>>>,
     /// Publish → store-writer handoff (present but idle when `store` is
     /// `None`).
     store_q: Arc<StoreQueue>,
@@ -1118,7 +1200,7 @@ impl State {
             config.trace.sink_capacity,
             registry.counter("serv_trace_hops_dropped"),
         ));
-        let flight = Arc::new(FlightRecorder::new(config.flight_capacity));
+        let flight = Arc::new(FlightRecorder::new(FLIGHT_CAPACITY));
         if let Some(seed) = config.fault_seed {
             flight.record(FL_FAULT, 0, 0, 0, seed);
         }
@@ -1185,12 +1267,9 @@ impl State {
             .map(|m| Arc::new(Mesh::new(m.index, m.size)));
         let mut state = State {
             formats,
-            channels: Mutex::new(Channels {
+            channels: Mutex::new(ChannelTable {
                 by_name: HashMap::new(),
-                by_id: HashMap::new(),
-                name_by_id: HashMap::new(),
-                home_by_id: HashMap::new(),
-                next: 0,
+                by_id: Vec::new(),
             }),
             registry,
             metrics,
@@ -1210,7 +1289,6 @@ impl State {
             topo_channel: 0,
             trace_mod: AtomicU32::new(config.trace.sample_mod),
             hops,
-            chan_hops: Mutex::new(HashMap::new()),
             hop_format: FixedFormat::new(),
             topo_format: FixedFormat::new(),
             flight_format,
@@ -1220,9 +1298,7 @@ impl State {
             tap_sink,
             shard_load,
             shard_cpus,
-            lags: Mutex::new(HashMap::new()),
             store,
-            logs: Mutex::new(HashMap::new()),
             store_q: Arc::new(StoreQueue::new(4096)),
             replay_threads: Mutex::new(Vec::new()),
             max_replay: config.max_replay.max(1),
@@ -1252,40 +1328,29 @@ impl State {
     /// sticky: once any opener passed the flag, later plain opens of the
     /// same name share the durable channel.
     fn open_channel_flags(&self, name: &str, flags: u32) -> Result<u32, String> {
-        let id = self.open_channel_inner(name);
-        if flags & CHAN_DURABLE != 0 {
+        let (id, chan) = self.open_channel_inner(name);
+        if flags & CHAN_DURABLE != 0 && chan.log.get().is_none() {
             let Some(store) = &self.store else {
                 return Err(format!(
                     "channel {name:?} requested durability, but this daemon has no store configured"
                 ));
             };
-            let mut logs = self.logs.lock().unwrap_or_else(|p| p.into_inner());
-            if let std::collections::hash_map::Entry::Vacant(e) = logs.entry(id) {
-                let log = store
-                    .channel(name)
-                    .map_err(|e| format!("opening segment log for {name:?}: {e}"))?;
-                e.insert(log);
-            }
+            // The store hands every opener of a name the same log, so a
+            // racing open that loses the `set` loses nothing.
+            let log = store
+                .channel(name)
+                .map_err(|e| format!("opening segment log for {name:?}: {e}"))?;
+            let _ = chan.log.set(log);
         }
         Ok(id)
     }
 
-    /// The segment log for channel `id`, if it was opened durable.
-    fn log(&self, id: u32) -> Option<Arc<ChannelLog>> {
-        self.logs
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&id)
-            .cloned()
-    }
-
-    fn open_channel_inner(&self, name: &str) -> u32 {
+    fn open_channel_inner(&self, name: &str) -> (u32, Arc<Channel>) {
         let mut chans = self.channels.lock().unwrap_or_else(|p| p.into_inner());
         if let Some(&id) = chans.by_name.get(name) {
-            return id;
+            return (id, chans.by_id[id as usize].clone());
         }
-        let id = chans.next;
-        chans.next += 1;
+        let id = chans.by_id.len() as u32;
         let mut fanout = Fanout::new();
         fanout.set_obs(FanoutObs {
             fanout_ns: self.metrics.fanout_ns.clone(),
@@ -1299,42 +1364,39 @@ impl State {
                     .histogram_labeled("hop_filter_ns", "chan", name),
             }),
         });
-        chans.by_name.insert(name.to_owned(), id);
-        chans.by_id.insert(id, Arc::new(Mutex::new(fanout)));
-        chans.name_by_id.insert(id, Arc::from(name));
-        chans
-            .home_by_id
-            .insert(id, self.mesh.as_ref().map_or(0, |m| m.home(name)));
-        // Label the per-hop histograms once, here: the publish, enqueue
-        // and flush paths record through these `Arc`s without ever
-        // touching a string.
-        self.chan_hops
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(
-                id,
-                Arc::new(ChanHops {
-                    ingress_ns: self
-                        .registry
-                        .histogram_labeled("hop_ingress_ns", "chan", name),
-                    enqueue_ns: self
-                        .registry
-                        .histogram_labeled("hop_enqueue_ns", "chan", name),
-                    flush_ns: self
-                        .registry
-                        .histogram_labeled("hop_flush_ns", "chan", name),
-                }),
-            );
-        id
+        let hop = |h| self.registry.histogram_labeled(h, "chan", name);
+        let chan = Arc::new(Channel {
+            name: Arc::from(name),
+            home: self.mesh.as_ref().map_or(0, |m| m.home(name)),
+            fanout: Mutex::new(fanout),
+            ingress_ns: hop("hop_ingress_ns"),
+            enqueue_ns: hop("hop_enqueue_ns"),
+            flush_ns: hop("hop_flush_ns"),
+            log: OnceLock::new(),
+            lags: Mutex::new(Vec::new()),
+        });
+        chans.by_name.insert(chan.name.clone(), id);
+        chans.by_id.push(chan.clone());
+        (id, chan)
     }
 
-    /// A channel's `(name, home index)` for mesh routing — both shared
-    /// copies, so the publish path pays two map hits and no allocation.
-    fn channel_route(&self, id: u32) -> Option<(Arc<str>, u32)> {
-        let chans = self.channels.lock().unwrap_or_else(|p| p.into_inner());
-        let name = chans.name_by_id.get(&id)?.clone();
-        let home = *chans.home_by_id.get(&id)?;
-        Some((name, home))
+    /// The channel opened under `id` — the one channel lookup.
+    fn channel(&self, id: u32) -> Option<Arc<Channel>> {
+        self.channels
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .by_id
+            .get(id as usize)
+            .cloned()
+    }
+
+    /// Every opened channel, indexed by id, copied out of the table lock.
+    fn all_channels(&self) -> Vec<Arc<Channel>> {
+        self.channels
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .by_id
+            .clone()
     }
 
     /// A fresh format registration, visible mesh-wide: gossip it to
@@ -1369,100 +1431,36 @@ impl State {
         }
     }
 
-    fn chan_hops(&self, id: u32) -> Option<Arc<ChanHops>> {
-        self.chan_hops
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&id)
-            .cloned()
-    }
-
-    /// The name a channel id was opened under, for metric labels.
-    fn channel_name(&self, id: u32) -> Option<String> {
-        let chans = self.channels.lock().unwrap_or_else(|p| p.into_inner());
-        chans
-            .by_name
-            .iter()
-            .find(|(_, &v)| v == id)
-            .map(|(k, _)| k.clone())
-    }
-
-    /// Register (or fetch) the delivered watermark for one durable
-    /// subscriber, seeded at `init` when new.
-    fn lag_entry(&self, chan: u32, conn: u32, init: u64) -> Arc<AtomicU64> {
-        let mut lags = self.lags.lock().unwrap_or_else(|p| p.into_inner());
-        lags.entry((chan, conn))
-            .or_insert_with(|| Arc::new(AtomicU64::new(init)))
-            .clone()
-    }
-
-    /// Drop every lag watermark belonging to a dead connection, zeroing
-    /// its gauges so the last reading doesn't linger as live state.
-    fn drop_lag_entries(&self, conn: u32) {
-        let removed: Vec<u32> = {
-            let mut lags = self.lags.lock().unwrap_or_else(|p| p.into_inner());
-            let doomed: Vec<(u32, u32)> =
-                lags.keys().filter(|(_, c)| *c == conn).copied().collect();
-            for k in &doomed {
-                lags.remove(k);
-            }
-            doomed.into_iter().map(|(chan, _)| chan).collect()
-        };
-        for chan in removed {
-            if let Some(name) = self.channel_name(chan) {
-                self.registry
-                    .gauge_labeled2(
-                        "serv_consumer_lag",
-                        "chan",
-                        &name,
-                        "conn",
-                        &conn.to_string(),
-                    )
-                    .set(0);
-            }
-        }
-    }
-
     /// Current consumer-lag watermarks, refreshing the
     /// `serv_consumer_lag{chan,conn}` gauges as a side effect — called
     /// from every stats encode and topology capture, so the gauges ride
     /// both `$stats` and `$topo`. Replay-in-progress consumers are
     /// included: their watermark advances as the replay streams.
     fn lag_watermarks(&self) -> Vec<TopoLag> {
-        let entries: Vec<((u32, u32), Arc<AtomicU64>)> = {
-            let lags = self.lags.lock().unwrap_or_else(|p| p.into_inner());
-            lags.iter().map(|(k, v)| (*k, v.clone())).collect()
-        };
-        let mut out = Vec::with_capacity(entries.len());
-        for ((chan, conn), delivered) in entries {
-            let Some(log) = self.log(chan) else { continue };
-            let lag = TopoLag {
-                chan,
-                conn,
-                head: log.head(),
-                delivered: delivered.load(Ordering::Relaxed),
-            };
-            if let Some(name) = self.channel_name(chan) {
-                self.registry
-                    .gauge_labeled2(
-                        "serv_consumer_lag",
-                        "chan",
-                        &name,
-                        "conn",
-                        &conn.to_string(),
-                    )
-                    .set(i64::try_from(lag.lag()).unwrap_or(i64::MAX));
+        let mut out = Vec::new();
+        for (id, chan) in self.all_channels().iter().enumerate() {
+            let Some(log) = chan.log.get() else { continue };
+            let head = log.head();
+            let lags = chan.lags.lock().unwrap_or_else(|p| p.into_inner());
+            for l in lags.iter() {
+                let lag = TopoLag {
+                    chan: id as u32,
+                    conn: l.conn,
+                    head,
+                    delivered: l.delivered.load(Ordering::Relaxed),
+                };
+                l.gauge.set(i64::try_from(lag.lag()).unwrap_or(i64::MAX));
+                out.push(lag);
             }
-            out.push(lag);
         }
         out.sort_by_key(|l| (l.chan, l.conn));
         out
     }
 
     /// Capture the daemon's live topology: every lock is taken briefly
-    /// and in a fixed order (conns, then channels, then per-fanout, then
-    /// lags), never nested with the publish path's channel→fanout order
-    /// reversed — capture is safe to run concurrently with full load.
+    /// and in a fixed order (conns, then the channel table, then each
+    /// channel's fan-out, then its lags), none nested in another —
+    /// capture is safe to run concurrently with full load.
     fn capture(&self) -> TopoSnapshot {
         let mut topo = TopoSnapshot {
             t_ns: epoch_ns(),
@@ -1487,37 +1485,24 @@ impl State {
             }
         }
         topo.conns.sort_by_key(|c| c.conn);
-        type ChanRow = (String, u32, Arc<Mutex<Fanout<RemoteSubscriber>>>);
-        let chans: Vec<ChanRow> = {
-            let chans = self.channels.lock().unwrap_or_else(|p| p.into_inner());
-            chans
-                .by_name
-                .iter()
-                .filter_map(|(name, &id)| {
-                    chans.by_id.get(&id).map(|f| (name.clone(), id, f.clone()))
-                })
-                .collect()
-        };
-        for (name, id, fanout) in chans {
+        for (id, chan) in self.all_channels().iter().enumerate() {
             let (subscribers, publishes) = {
-                let f = fanout.lock().unwrap_or_else(|p| p.into_inner());
+                let f = chan.fanout();
                 (f.active_count() as u64, f.stats().published)
             };
-            let log = self.log(id);
-            let home = self.mesh.as_ref().map_or(0, |m| m.home(&name));
+            let log = chan.log.get();
             topo.channels.push(TopoChannel {
-                id,
-                name,
+                id: id as u32,
+                name: chan.name.to_string(),
                 subscribers,
                 publishes,
                 durable: log.is_some(),
-                head: log.as_ref().map_or(0, |l| l.head()),
-                segments: log.as_ref().map_or(0, |l| l.segment_count() as u64),
-                disk_bytes: log.as_ref().and_then(|l| l.disk_bytes().ok()).unwrap_or(0),
-                home,
+                head: log.map_or(0, |l| l.head()),
+                segments: log.map_or(0, |l| l.segment_count() as u64),
+                disk_bytes: log.and_then(|l| l.disk_bytes().ok()).unwrap_or(0),
+                home: chan.home,
             });
         }
-        topo.channels.sort_by_key(|c| c.id);
         if let Some(mesh) = &self.mesh {
             for p in mesh.peer_stats() {
                 topo.peers.push(TopoPeer {
@@ -1677,15 +1662,6 @@ impl State {
         Some((format, WireBuf::copy_from(&buf)))
     }
 
-    fn channel(&self, id: u32) -> Option<Arc<Mutex<Fanout<RemoteSubscriber>>>> {
-        self.channels
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .by_id
-            .get(&id)
-            .cloned()
-    }
-
     /// The checks an event passes before any fan-out, whether a client
     /// published it or a peer relayed it: its trailers are as `b` flags
     /// them and its payload covers its format's layout. An error carries
@@ -1738,7 +1714,7 @@ impl MeshHost for State {
     /// frame passes the same checks as a publish; one that fails is
     /// dropped and counted in `frames_rejected`.
     fn inject_event(&self, chan: u32, b: u32, body: WireBuf, peer: u32) {
-        let Some(fanout) = self.channel(chan) else {
+        let Some(channel) = self.channel(chan) else {
             return;
         };
         self.metrics.events_in.inc();
@@ -1754,7 +1730,7 @@ impl MeshHost for State {
         // while sampled.
         let keep = if ctx.is_some() { CAP_TRACE } else { 0 };
         let (b, body) = project_event(b, &body, keep | CAP_DURABLE);
-        let mut fanout = fanout.lock().unwrap_or_else(|p| p.into_inner());
+        let mut fanout = channel.fanout();
         let before = fanout.stats();
         let _ = fanout.publish_traced(b, &body, ctx.as_ref());
         let after = fanout.stats();
@@ -2105,7 +2081,7 @@ fn accept_loop(listener: TcpListener, state: Arc<State>, shards: Vec<Arc<ShardHa
             counters: ConnCounters::default(),
             caps: AtomicU32::new(0),
             raw: Mutex::new(Some(sock)),
-            durable_subs: Mutex::new(Vec::new()),
+            subs: Mutex::new(Vec::new()),
             shard: shard.clone(),
             shard_idx,
             last_active_ns: AtomicU64::new(epoch_ns()),
@@ -2175,16 +2151,15 @@ fn publish_reserved<I>(state: &State, chan: u32, encode: impl FnOnce() -> I)
 where
     I: IntoIterator<Item = (u32, WireBuf)>,
 {
-    let Some(fanout) = state.channel(chan) else {
+    let Some(chan) = state.channel(chan) else {
         return;
     };
-    let lock = || fanout.lock().unwrap_or_else(|p| p.into_inner());
-    if lock().active_count() == 0 {
+    if chan.fanout().active_count() == 0 {
         state.metrics.stats_suppressed.inc();
         return;
     }
     for (format, wire) in encode() {
-        let _ = lock().publish_shared(format, &wire);
+        let _ = chan.fanout().publish_shared(format, &wire);
     }
 }
 
@@ -2263,8 +2238,6 @@ struct ConnState {
     /// Inbound frame reassembly across partial reads.
     decoder: FrameDecoder,
     phase: Phase,
-    /// Live subscriptions this session registered via `K_SUBSCRIBE`.
-    subscriptions: Vec<(u32, SubscriptionId)>,
     /// Frames popped from the outbound queue but not yet fully written,
     /// with their encoded headers and the partial-write offset — the
     /// resumption state a blocking writer never needed — and, in
@@ -2299,7 +2272,6 @@ impl ConnState {
             fd,
             decoder: FrameDecoder::new(),
             phase: Phase::AwaitHello,
-            subscriptions: Vec::new(),
             batch: WriteBatch::new(),
             pending_traces: Vec::new(),
             scratch: Vec::new(),
@@ -2318,7 +2290,6 @@ impl ConnState {
 /// while the decoder's borrow of the inbound buffer is live.
 struct SessionCtx<'a> {
     conn: &'a Arc<ConnShared>,
-    subscriptions: &'a mut Vec<(u32, SubscriptionId)>,
     phase: &'a mut Phase,
     closing: &'a mut bool,
     counted_active: &'a mut bool,
@@ -2462,7 +2433,6 @@ fn handle_readable(state: &Arc<State>, cs: &mut ConnState) -> u64 {
         rd,
         decoder,
         phase,
-        subscriptions,
         closing,
         counted_active,
         last_rx,
@@ -2523,7 +2493,6 @@ fn handle_readable(state: &Arc<State>, cs: &mut ConnState) -> u64 {
                     let _recv_span = Span::enter(&state.metrics.recv_ns);
                     let mut sctx = SessionCtx {
                         conn: &*conn,
-                        subscriptions: &mut *subscriptions,
                         phase: &mut *phase,
                         closing: &mut *closing,
                         counted_active: &mut *counted_active,
@@ -2619,8 +2588,8 @@ fn flush_conn(state: &Arc<State>, sm: &ShardMetrics, cs: &mut ConnState) -> bool
                 for (frame, ctx) in done.iter().zip(done_traces) {
                     let Some(ctx) = ctx else { continue };
                     let hop = ctx.hop(HOP_FLUSH, cs.conn.id, frame.a, t);
-                    if let Some(h) = state.chan_hops(frame.a) {
-                        h.flush_ns.record(hop.dur_ns);
+                    if let Some(chan) = state.channel(frame.a) {
+                        chan.flush_ns.record(hop.dur_ns);
                     }
                     state.hops.push(hop);
                 }
@@ -2725,44 +2694,30 @@ fn flush_and_rearm(
 }
 
 /// Detach the connection from everything that can reach it — the
-/// poller, its channel subscriptions (live and replay-handed-off), the
-/// fan-out — then sever the socket. The final `evict` (not just closing
-/// the queue) matters: the resume session table can outlive the reactor's
+/// poller, its channel subscriptions and lag entries — then sever the
+/// socket. The final `evict` (not just closing the queue) matters: the resume session table can outlive the reactor's
 /// state for this conn, so the socket must be shut down explicitly for
 /// the peer to observe EOF and begin reconnecting.
-fn teardown_conn(state: &Arc<State>, poller: &mut dyn Poller, mut cs: ConnState) {
+fn teardown_conn(state: &Arc<State>, poller: &mut dyn Poller, cs: ConnState) {
     poller.deregister(cs.fd);
     cs.conn.alive.store(false, Ordering::Relaxed);
-    for (chan, sub) in cs.subscriptions.drain(..) {
-        if let Some(fanout) = state.channel(chan) {
-            fanout
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .retain(|id, _| id != sub);
-        }
-    }
-    // Subscriptions a replay thread handed off to live delivery. The
-    // replay side re-checks `alive` after registering and removes its
-    // own registration if it lost the race with this take; retain() is
-    // idempotent, so whichever side runs second is a no-op.
-    let durable = std::mem::take(
-        &mut *cs
-            .conn
-            .durable_subs
-            .lock()
-            .unwrap_or_else(|p| p.into_inner()),
-    );
-    for (chan, sub) in durable {
-        if let Some(fanout) = state.channel(chan) {
-            fanout
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .retain(|id, _| id != sub);
-        }
+    // A replay thread handing off re-checks `alive` after appending to
+    // this list and removes its own registration if it lost the race
+    // with this take; retain() is idempotent, so whichever side runs
+    // second is a no-op.
+    let subs = std::mem::take(&mut *cs.conn.subs.lock().unwrap_or_else(|p| p.into_inner()));
+    // Channels are never closed, so every listed id indexes the table.
+    let chans = state.all_channels();
+    for (chan, sub) in subs {
+        chans[chan as usize].fanout().retain(|id, _| id != sub);
     }
     cs.conn.outbound.close();
     cs.conn.evict();
-    state.drop_lag_entries(cs.conn.id);
+    // A replay still streaming has a lag entry but no subscription yet,
+    // so every channel is asked.
+    for chan in &chans {
+        chan.drop_lag(&state.registry, cs.conn.id);
+    }
     if cs.counted_active {
         state
             .flight
@@ -2900,7 +2855,7 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
             } else {
                 None
             };
-            let Some(fanout) = state.channel(header.a) else {
+            let Some(chan) = state.channel(header.a) else {
                 send_error(
                     state,
                     conn,
@@ -2911,25 +2866,16 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
             };
             // A durable channel's live subscriber starts caught up: its
             // lag watermark seeds at the head and advances per delivery.
-            let delivered = state
-                .log(header.a)
-                .map(|log| state.lag_entry(header.a, conn.id, log.head()));
-            let sub = RemoteSubscriber {
-                conn: conn.clone(),
-                channel: header.a,
-                predicate,
-                compiled: HashMap::new(),
-                formats: state.formats.clone(),
-                sink: state.hops.clone(),
-                hops: state.chan_hops(header.a),
-                evicted_stalled: state.metrics.evicted_stalled.clone(),
-                delivered,
-            };
-            let id = fanout
+            let delivered = chan
+                .log
+                .get()
+                .map(|log| chan.lag_entry(&state.registry, conn.id, log.head()));
+            let sub = RemoteSubscriber::new(state, conn, header.a, &chan, predicate, delivered);
+            let id = chan.fanout().subscribe(sub);
+            conn.subs
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
-                .subscribe(sub);
-            ctx.subscriptions.push((header.a, id));
+                .push((header.a, id));
             conn.send(Frame::control(K_SUBSCRIBE_ACK, header.a, 0));
             // First local interest in a remote-homed channel: relay it.
             // All publishes flow through the home daemon's fan-out, so
@@ -2937,12 +2883,8 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
             // through this one link (the link dedups by name; peers
             // never trigger relays — their subscriptions *are* relays).
             if let Some(mesh) = &state.mesh {
-                if conn.caps() & CAP_PEER == 0 {
-                    if let Some((name, home)) = state.channel_route(header.a) {
-                        if home != mesh.index {
-                            mesh.ensure_relay_sub(home, name, header.a);
-                        }
-                    }
+                if conn.caps() & CAP_PEER == 0 && chan.home != mesh.index {
+                    mesh.ensure_relay_sub(chan.home, chan.name.clone(), header.a);
                 }
             }
         }
@@ -2961,7 +2903,10 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
                 return;
             }
             let from = u64::from_be_bytes(body[..8].try_into().unwrap());
-            let Some(log) = state.log(header.a) else {
+            let durable = state
+                .channel(header.a)
+                .and_then(|c| Some((c.log.get()?.clone(), c)));
+            let Some((log, chan)) = durable else {
                 send_error(
                     state,
                     conn,
@@ -3003,16 +2948,16 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
             // The replaying consumer is visible in the lag books from
             // the first moment: watermark seeded where the replay will
             // start, advanced by the replay thread as it streams.
-            let delivered =
-                state.lag_entry(header.a, conn.id, from.max(log.oldest()).min(log.head()));
+            let init = from.max(log.oldest()).min(log.head());
+            let delivered = chan.lag_entry(&state.registry, conn.id, init);
             let rp_state = state.clone();
             let rp_conn = conn.clone();
-            let chan = header.a;
+            let id = header.a;
             let handle = std::thread::Builder::new()
                 .name("pbio-serv-replay".into())
                 .spawn(move || {
                     let _slot = guard;
-                    replay_loop(rp_state, rp_conn, chan, log, from, delivered);
+                    replay_loop(rp_state, rp_conn, id, &chan, log, from, delivered);
                 });
             if let Ok(h) = handle {
                 let mut threads = state
@@ -3020,15 +2965,9 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
                     .lock()
                     .unwrap_or_else(|p| p.into_inner());
                 // Reap finished replays so a long-lived daemon does
-                // not hoard exited thread handles.
-                let mut i = 0;
-                while i < threads.len() {
-                    if threads[i].is_finished() {
-                        let _ = threads.swap_remove(i).join();
-                    } else {
-                        i += 1;
-                    }
-                }
+                // not hoard exited thread handles (dropping the handle
+                // of an exited thread releases it, as a join would).
+                threads.retain(|t| !t.is_finished());
                 threads.push(h);
             }
         }
@@ -3055,7 +2994,7 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
                 }
             };
             let ctx = ev.trailers.trace.filter(TraceCtx::sampled);
-            let Some(fanout) = state.channel(header.a) else {
+            let Some(chan) = state.channel(header.a) else {
                 send_error(
                     state,
                     conn,
@@ -3069,9 +3008,7 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
                 // ingress stamp is taken here, after the frame is off
                 // the socket and validated.
                 let ingress = ctx.hop(HOP_INGRESS, conn.id, header.a, epoch_ns());
-                if let Some(h) = state.chan_hops(header.a) {
-                    h.ingress_ns.record(ingress.dur_ns);
-                }
+                chan.ingress_ns.record(ingress.dur_ns);
                 let origin = ctx.hop(HOP_PUBLISH, conn.id, header.a, ctx.origin_ns);
                 state.hops.push(origin);
                 state.hops.push(ingress);
@@ -3092,27 +3029,18 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
             // out locally and are never re-forwarded, which is the
             // structural guard against relay loops.
             if let Some(mesh) = &state.mesh {
-                if conn.caps() & CAP_PEER == 0 {
-                    if let Some((name, home)) = state.channel_route(header.a) {
-                        if home != mesh.index {
-                            let (b, wire) = shared();
-                            mesh.forward(home, name, b, wire);
-                            return;
-                        }
-                    }
+                if conn.caps() & CAP_PEER == 0 && chan.home != mesh.index {
+                    let (b, wire) = shared();
+                    mesh.forward(chan.home, chan.name.clone(), b, wire);
+                    return;
                 }
             }
-            // When no store is configured this is a single Option
-            // check: the disabled path adds no allocation and no
-            // syscall to the publish hot loop.
-            let log = if state.store.is_some() {
-                state.log(header.a)
-            } else {
-                None
-            };
-            let mut fanout = fanout.lock().unwrap_or_else(|p| p.into_inner());
+            // A plain channel's log is one atomic load away: the
+            // non-durable path adds no allocation and no syscall to the
+            // publish hot loop.
+            let mut fanout = chan.fanout();
             let before = fanout.stats();
-            match log {
+            match chan.log.get() {
                 None => {
                     let (b, wire) = shared();
                     let _ = fanout.publish_traced(b, &wire, ctx.as_ref());
@@ -3402,6 +3330,7 @@ fn replay_loop(
     state: Arc<State>,
     conn: Arc<ConnShared>,
     chan: u32,
+    channel: &Channel,
     log: Arc<ChannelLog>,
     from: u64,
     delivered: Arc<AtomicU64>,
@@ -3484,40 +3413,24 @@ fn replay_loop(
         // flushed frontier and the head (publishers reserve offsets under
         // this same lock, so the head is frozen here), a live
         // subscription registered now continues the sequence gaplessly.
-        let Some(fanout) = state.channel(chan) else {
-            return;
-        };
-        let mut f = fanout.lock().unwrap_or_else(|p| p.into_inner());
+        let mut f = channel.fanout();
         if log.readable() >= log.head() && next >= log.head() {
-            let sub = RemoteSubscriber {
-                conn: conn.clone(),
-                channel: chan,
-                predicate: None,
-                compiled: HashMap::new(),
-                formats: state.formats.clone(),
-                sink: state.hops.clone(),
-                hops: state.chan_hops(chan),
-                evicted_stalled: state.metrics.evicted_stalled.clone(),
-                delivered: Some(delivered.clone()),
-            };
+            let sub = RemoteSubscriber::new(&state, &conn, chan, channel, None, Some(delivered));
             let id = f.subscribe(sub);
             drop(f);
             state
                 .flight
                 .record(FL_REPLAY_FINISH, conn.id, chan, 0, next);
-            conn.durable_subs
+            conn.subs
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
                 .push((chan, id));
             // Closes the race with connection teardown: if the conn died
             // between registration and our push, its teardown may have
-            // drained `durable_subs` before we added this entry — remove
-            // our own registration (idempotent with teardown's).
+            // drained `subs` before we added this entry — remove our own
+            // registration (idempotent with teardown's).
             if !conn.alive.load(Ordering::Relaxed) {
-                fanout
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .retain(|sid, _| sid != id);
+                channel.fanout().retain(|sid, _| sid != id);
             }
             return;
         }

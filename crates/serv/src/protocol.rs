@@ -147,7 +147,7 @@ const TRAILER_FLAGS: u32 = TRACE_FLAG | OFFSET_FLAG;
 pub const CHAN_DURABLE: u32 = 0x1;
 
 /// Bytes an [`OFFSET_FLAG`] trailer adds to an event body.
-pub const OFFSET_TRAILER_LEN: usize = 8;
+const OFFSET_TRAILER_LEN: usize = 8;
 
 /// Client → daemon: open a session. `a` = version, `b` = capability
 /// bits ([`CAP_TRACE`]; old clients send 0), body = architecture

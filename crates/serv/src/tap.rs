@@ -315,7 +315,7 @@ pub struct CaptureFile {
 /// embedded frame's CRC is re-verified: a record whose frame bytes do
 /// not match their checksum is an error, never silently returned as a
 /// clean frame.
-pub fn decode_capture_record(payload: &[u8]) -> Result<CapturedFrame, String> {
+fn decode_capture_record(payload: &[u8]) -> Result<CapturedFrame, String> {
     if payload.len() < CAPTURE_PREFIX + FRAME_HEADER_SIZE {
         return Err(format!(
             "capture record too short ({} bytes)",
@@ -355,8 +355,7 @@ pub fn decode_capture_record(payload: &[u8]) -> Result<CapturedFrame, String> {
 
 /// Open a capture directory through the ordinary store reader (crash
 /// recovery included) and decode every record. Fails on the first
-/// record whose embedded frame is corrupt — see
-/// [`decode_capture_record`].
+/// record whose embedded frame does not match its checksum.
 pub fn read_capture(dir: impl Into<PathBuf>) -> Result<CaptureFile, String> {
     let store = Store::open(StoreConfig::new(dir.into()))
         .map_err(|e| format!("open capture store: {e}"))?;

@@ -11,6 +11,7 @@ use std::time::{Duration, Instant};
 
 use pbio_net::fault::FaultPlan;
 use pbio_obs::export::TopoSnapshot;
+use pbio_obs::labeled2;
 use pbio_serv::{
     ClientConfig, FlushPolicy, ServClient, ServConfig, ServDaemon, StoreConfig, TraceConfig,
 };
@@ -779,6 +780,58 @@ fn plain_channel_becomes_durable_on_a_later_durable_open() {
 
     late.disconnect().unwrap();
     plain.disconnect().unwrap();
+    publisher.disconnect().unwrap();
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A durable subscriber's `serv_consumer_lag{chan,conn}` gauge lives
+/// exactly as long as the subscriber: after a disconnect no `$stats`
+/// snapshot carries it, not even one taken after the teardown.
+#[test]
+fn departed_subscriber_lag_gauge_leaves_the_registry() {
+    let dir = store_dir("gauge");
+    let daemon = ServDaemon::bind_with("127.0.0.1:0", durable_config(&dir)).unwrap();
+    let addr = daemon.local_addr();
+    let schema = tick_schema();
+
+    let mut publisher = ServClient::connect(addr, &ArchProfile::X86_64).unwrap();
+    let format = publisher.register_format(&schema).unwrap();
+    let chan = publisher.open_channel_durable("gauged").unwrap();
+    let mut client = ServClient::connect(addr, &ArchProfile::X86_64).unwrap();
+    client.open_channel("gauged").unwrap();
+    client.subscribe(chan, &schema, None).unwrap();
+    for seq in 0..10 {
+        publisher.publish_value(chan, format, &tick(seq)).unwrap();
+    }
+    await_acks(&mut publisher, 10);
+
+    let conn = client.conn_id();
+    let gauge = labeled2(
+        "serv_consumer_lag",
+        "chan",
+        "gauged",
+        "conn",
+        &conn.to_string(),
+    );
+    // A topology capture refreshes the lag gauges, as a stats encode does.
+    let _ = daemon.topology();
+    assert!(
+        daemon.registry().snapshot().gauge(&gauge).is_some(),
+        "a live durable subscriber has a lag gauge"
+    );
+
+    client.disconnect().unwrap();
+    await_topology(&daemon, "lag row outlived its connection", |t| {
+        t.lags.iter().all(|l| l.conn != conn)
+    });
+    let _ = daemon.topology();
+    assert_eq!(
+        daemon.registry().snapshot().gauge(&gauge),
+        None,
+        "the departed subscriber's gauge left the registry"
+    );
+
     publisher.disconnect().unwrap();
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
