@@ -1,5 +1,6 @@
 //! Thread → CPU pinning for reactor shards — raw `sched_setaffinity(2)`,
-//! no libc.
+//! no libc — and the `SCHED_BATCH` policy for a helper thread pinned
+//! beside one ([`batch_current_thread`]).
 //!
 //! A sharded event loop gets most of its cache locality for free: every
 //! connection's decode buffer, outbound queue, and frame scratch live on
@@ -43,8 +44,39 @@ pub fn pin_current_thread(cpu: usize) -> io::Result<()> {
     }
 }
 
+/// Give the *calling* thread the `SCHED_BATCH` policy: same weight and
+/// fair share as before, but its wakeups no longer preempt the thread
+/// running on its CPU. It runs when that thread sleeps, or at the next
+/// scheduler tick — the right shape for a helper pinned beside a
+/// latency-bound thread that feeds it work, which then drains that
+/// work in batches instead of one wakeup per item.
+///
+/// Unprivileged (switching between the normal policies needs no
+/// capability). Errors are non-fatal like [`pin_current_thread`]'s: the
+/// thread keeps its normal policy.
+pub fn batch_current_thread() -> io::Result<()> {
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    {
+        sys::set_batch_policy()
+    }
+    #[cfg(not(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    )))]
+    {
+        Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "scheduling policies are only implemented on Linux",
+        ))
+    }
+}
+
 // ---------------------------------------------------------------------------
-// Linux sched_setaffinity(2) backend — raw syscalls, no libc.
+// Linux sched_setaffinity(2) / sched_setscheduler(2) backend — raw
+// syscalls, no libc.
 
 #[cfg(all(
     target_os = "linux",
@@ -54,9 +86,16 @@ mod sys {
     use std::io;
 
     #[cfg(target_arch = "x86_64")]
+    const SYS_SCHED_SETSCHEDULER: isize = 144;
+    #[cfg(target_arch = "aarch64")]
+    const SYS_SCHED_SETSCHEDULER: isize = 119;
+    #[cfg(target_arch = "x86_64")]
     const SYS_SCHED_SETAFFINITY: isize = 203;
     #[cfg(target_arch = "aarch64")]
     const SYS_SCHED_SETAFFINITY: isize = 122;
+
+    /// `SCHED_BATCH` from `<linux/sched.h>`.
+    const SCHED_BATCH: usize = 3;
 
     /// Bits in the affinity mask we pass (1024 CPUs, glibc's default
     /// `cpu_set_t` width — comfortably above any host this runs on).
@@ -72,8 +111,29 @@ mod sys {
         }
         let mut mask = [0u64; MASK_WORDS];
         mask[cpu / 64] = 1u64 << (cpu % 64);
-        // pid 0 = the calling thread.
-        let ret = sys_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr());
+        // pid 0 = the calling thread. The kernel only *reads* `len`
+        // bytes of the mask, a live stack array.
+        check(syscall3(
+            SYS_SCHED_SETAFFINITY,
+            0,
+            std::mem::size_of_val(&mask),
+            mask.as_ptr() as usize,
+        ))
+    }
+
+    pub(super) fn set_batch_policy() -> io::Result<()> {
+        // `struct sched_param { int sched_priority; }`: 0 for the normal
+        // policies. The kernel only reads it.
+        let param: i32 = 0;
+        check(syscall3(
+            SYS_SCHED_SETSCHEDULER,
+            0,
+            SCHED_BATCH,
+            &param as *const i32 as usize,
+        ))
+    }
+
+    fn check(ret: isize) -> io::Result<()> {
         if ret < 0 {
             return Err(io::Error::from_raw_os_error(-ret as i32));
         }
@@ -81,17 +141,17 @@ mod sys {
     }
 
     #[cfg(target_arch = "x86_64")]
-    fn sys_setaffinity(pid: usize, len: usize, mask: *const u64) -> isize {
+    fn syscall3(nr: isize, a: usize, b: usize, c: usize) -> isize {
         let ret: isize;
-        // SAFETY: sched_setaffinity only *reads* `len` bytes of the mask
-        // (a live stack array); no memory is written by the kernel.
+        // SAFETY: both callers pass pointers to live stack values the
+        // kernel only reads; no memory is written by the kernel.
         unsafe {
             core::arch::asm!(
                 "syscall",
-                inlateout("rax") SYS_SCHED_SETAFFINITY => ret,
-                in("rdi") pid,
-                in("rsi") len,
-                in("rdx") mask,
+                inlateout("rax") nr => ret,
+                in("rdi") a,
+                in("rsi") b,
+                in("rdx") c,
                 lateout("rcx") _,
                 lateout("r11") _,
                 options(nostack),
@@ -101,16 +161,16 @@ mod sys {
     }
 
     #[cfg(target_arch = "aarch64")]
-    fn sys_setaffinity(pid: usize, len: usize, mask: *const u64) -> isize {
+    fn syscall3(nr: isize, a: usize, b: usize, c: usize) -> isize {
         let ret: isize;
         // SAFETY: as above; aarch64 passes the syscall number in x8.
         unsafe {
             core::arch::asm!(
                 "svc 0",
-                in("x8") SYS_SCHED_SETAFFINITY,
-                inlateout("x0") pid => ret,
-                in("x1") len,
-                in("x2") mask,
+                in("x8") nr,
+                inlateout("x0") a => ret,
+                in("x1") b,
+                in("x2") c,
                 options(nostack),
             );
         }
@@ -132,5 +192,22 @@ mod tests {
     #[test]
     fn pinning_to_an_absurd_cpu_fails_cleanly() {
         assert!(pin_current_thread(1 << 20).is_err());
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn batch_policy_takes_effect() {
+        // On a thread of its own: the policy sticks to the caller.
+        std::thread::spawn(|| {
+            batch_current_thread().expect("SCHED_BATCH needs no privilege");
+            let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+            // Field 41 is the policy; `comm` (field 2) may hold spaces,
+            // so count from the closing parenthesis.
+            let after_comm = &stat[stat.rfind(')').unwrap() + 2..];
+            let policy = after_comm.split(' ').nth(41 - 3).unwrap();
+            assert_eq!(policy, "3", "SCHED_BATCH");
+        })
+        .join()
+        .unwrap();
     }
 }

@@ -318,6 +318,9 @@ pub struct ServClient {
     /// Per public channel: last offset the daemon acked as durable
     /// ([`K_PUBLISH_ACK`]).
     durable_offsets: HashMap<u32, u64>,
+    /// Set when an ack advances `durable_offsets`; cleared as a poll
+    /// starts, so that poll returns once its acks made progress.
+    acks_advanced: bool,
     /// Public→wire id maps. Public ids are what callers hold; wire ids
     /// are what the *current* daemon session assigned. Identity until a
     /// daemon restart makes them diverge.
@@ -423,6 +426,7 @@ impl ServClient {
             journal_subs_from: Vec::new(),
             last_offsets: HashMap::new(),
             durable_offsets: HashMap::new(),
+            acks_advanced: false,
             fmt_to_wire: HashMap::new(),
             fmt_from_wire: HashMap::new(),
             chan_to_wire: HashMap::new(),
@@ -959,11 +963,16 @@ impl ServClient {
     }
 
     /// Wait up to `timeout` for the next event. Returns `Ok(None)` when
-    /// the timeout elapses with no event. Format announcements are
-    /// consumed transparently (they prepare the reader's conversion — or
-    /// zero-copy — path before the first record of each format).
+    /// the timeout elapses with no event, or earlier, once a publish ack
+    /// read in this call has advanced
+    /// [`ServClient::last_durable_offset`] and no event is ready: a
+    /// durable publisher drains its acks here without sleeping out the
+    /// timeout. Format announcements are consumed transparently (they
+    /// prepare the reader's conversion — or zero-copy — path before the
+    /// first record of each format).
     pub fn poll(&mut self, timeout: Duration) -> Result<Option<Event<'_>>, ServError> {
         let deadline = Instant::now() + timeout;
+        self.acks_advanced = false;
         loop {
             let Some((kind, a, b)) = self.next_frame(deadline)? else {
                 return Ok(None);
@@ -1004,9 +1013,11 @@ impl ServClient {
 
     /// [`ServClient::poll`] without the embedded reader: events come back
     /// as the publisher's untouched bytes plus the announced wire layout,
-    /// for subscriptions made with [`ServClient::subscribe_raw`].
+    /// for subscriptions made with [`ServClient::subscribe_raw`]. Returns
+    /// early on ack progress as `poll` does.
     pub fn poll_raw(&mut self, timeout: Duration) -> Result<Option<RawEvent<'_>>, ServError> {
         let deadline = Instant::now() + timeout;
+        self.acks_advanced = false;
         loop {
             let Some((kind, a, b)) = self.next_frame(deadline)? else {
                 return Ok(None);
@@ -1041,7 +1052,8 @@ impl ServClient {
     /// see, as `(kind, a, b)`: one that raced an acknowledgement first,
     /// else the socket's. Its body is [`frame_body`]. With resume
     /// negotiated, a dead socket is an outage that [`ServClient::recv`]
-    /// keeps reconnecting until `deadline`.
+    /// keeps reconnecting until `deadline`. `None` also once acks made
+    /// progress and nothing else is buffered.
     fn next_frame(&mut self, deadline: Instant) -> Result<Option<(u8, u32, u32)>, ServError> {
         self.raced = None;
         if let Some(f) = self.pending.pop() {
@@ -1049,7 +1061,9 @@ impl ServClient {
             return Ok(Some((f.kind, f.a, f.b)));
         }
         let resume = self.resume_on;
-        Ok(self.recv(deadline, resume)?.map(|h| (h.kind, h.a, h.b)))
+        Ok(self
+            .recv(deadline, resume, true)?
+            .map(|h| (h.kind, h.a, h.b)))
     }
 
     /// The client's one receive loop: the header of the next frame off
@@ -1066,8 +1080,14 @@ impl ServClient {
     /// [`ClientStats::frames_rejected`] and skipped; the decoder stays in
     /// sync. A lost connection is an outage when `resume` is set — this
     /// then sleeps and redials on the backoff schedule until `deadline`
-    /// — and an error otherwise.
-    fn recv(&mut self, deadline: Instant, resume: bool) -> Result<Option<FrameHeader>, ServError> {
+    /// — and an error otherwise. With `ack_ends_wait`, a decoder left
+    /// empty after an ack advanced a durable offset ends the wait early.
+    fn recv(
+        &mut self,
+        deadline: Instant,
+        resume: bool,
+        ack_ends_wait: bool,
+    ) -> Result<Option<FrameHeader>, ServError> {
         loop {
             if resume && self.outage.is_some() && !self.reconnect_if_due() {
                 if !self.nap_until_retry(deadline) {
@@ -1106,6 +1126,7 @@ impl ServClient {
                     }
                     continue;
                 }
+                Ok(None) if ack_ends_wait && self.acks_advanced => return Ok(None),
                 Ok(None) => {}
                 Err(_) => {
                     self.metrics.frames_rejected.inc();
@@ -1151,8 +1172,10 @@ impl ServClient {
                 .get(&wire_chan)
                 .copied()
                 .unwrap_or(wire_chan);
-            let e = self.durable_offsets.entry(public).or_insert(last);
-            *e = (*e).max(last);
+            if self.durable_offsets.get(&public) < Some(&last) {
+                self.durable_offsets.insert(public, last);
+                self.acks_advanced = true;
+            }
         }
     }
 
@@ -1453,7 +1476,7 @@ impl ServClient {
         self.send_raw(K_BYE, 0, 0, &[])?;
         let deadline = Instant::now() + self.timeout;
         loop {
-            let h = match self.recv(deadline, false) {
+            let h = match self.recv(deadline, false, false) {
                 Ok(Some(h)) => h,
                 Ok(None) => return Err(ServError::Timeout),
                 Err(e) if is_disconnect(&e) => return Ok(()),
@@ -1492,7 +1515,9 @@ impl ServClient {
     fn await_ack(&mut self, kind: u8, token: u32) -> Result<Frame, ServError> {
         let deadline = Instant::now() + self.timeout;
         loop {
-            let h = self.recv(deadline, false)?.ok_or(ServError::Timeout)?;
+            let h = self
+                .recv(deadline, false, false)?
+                .ok_or(ServError::Timeout)?;
             let f = Frame::with_body(h.kind, h.a, h.b, WireBuf::copy_from(self.dec.last_body()));
             if f.kind == kind && f.a == token {
                 return Ok(f);

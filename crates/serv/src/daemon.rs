@@ -176,9 +176,13 @@ pub struct ServConfig {
     pub tap: Option<TapConfig>,
     /// Pin each reactor shard thread to its own CPU
     /// (`shard i → cpu i % parallelism`, via raw `sched_setaffinity`)
-    /// so per-connection state stops migrating between cores. Pinning
-    /// failures are non-fatal: the shard runs unpinned and reports
-    /// `cpu = -1` in topology snapshots.
+    /// so per-connection state stops migrating between cores. The
+    /// durable store thread joins shard 0's CPU under `SCHED_BATCH`:
+    /// its wakeups no longer preempt the shard, so it drains large
+    /// batches while the shard sleeps, where on another core it is
+    /// woken about once per event. Pinning failures are non-fatal: the
+    /// thread runs unpinned and reports `-1` (`cpu` in topology
+    /// snapshots, the `serv_store_cpu` gauge).
     pub pin_shards: bool,
     /// Daemon federation: when set, this daemon joins a static mesh —
     /// channels shard across members by [`crate::mesh::home_of`], any
@@ -378,6 +382,23 @@ impl ServMetrics {
             frames_rejected: self.frames_rejected.get(),
             stats_suppressed: self.stats_suppressed.get(),
         }
+    }
+}
+
+/// The CPU [`ServConfig::pin_shards`] gives shard `i`.
+fn shard_cpu(i: usize) -> usize {
+    i % std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+}
+
+/// Pin the calling thread to `cpu`, best-effort: the CPU it got, or
+/// `-1` when the mask was refused (cgroup cpuset, non-Linux host) and
+/// the thread runs unpinned.
+fn pin_self(cpu: usize) -> i64 {
+    match pbio_net::affinity::pin_current_thread(cpu) {
+        Ok(()) => cpu as i64,
+        Err(_) => -1,
     }
 }
 
@@ -1168,6 +1189,9 @@ struct State {
     /// CPU each reactor shard is pinned to (`-1` = unpinned), written by
     /// the shard thread at startup, read by topology capture.
     shard_cpus: Vec<AtomicI64>,
+    /// CPU the store thread is pinned to (`-1` = unpinned or no store),
+    /// written by that thread at startup: the `serv_store_cpu` gauge.
+    store_cpu: Arc<Gauge>,
     /// The segment-log store behind durable channels (`None` = durability
     /// disabled; the publish path then skips every store branch on one
     /// `Option` check).
@@ -1251,6 +1275,8 @@ impl State {
         let shard_cpus = (0..effective_shards(config))
             .map(|_| AtomicI64::new(-1))
             .collect();
+        let store_cpu = registry.gauge("serv_store_cpu");
+        store_cpu.set(-1);
         let shard_load = (0..effective_shards(config))
             .map(|i| {
                 let v = i.to_string();
@@ -1298,6 +1324,7 @@ impl State {
             tap_sink,
             shard_load,
             shard_cpus,
+            store_cpu,
             store,
             store_q: Arc::new(StoreQueue::new(4096)),
             replay_threads: Mutex::new(Vec::new()),
@@ -1328,18 +1355,24 @@ impl State {
     /// sticky: once any opener passed the flag, later plain opens of the
     /// same name share the durable channel.
     fn open_channel_flags(&self, name: &str, flags: u32) -> Result<u32, String> {
-        let (id, chan) = self.open_channel_inner(name);
-        if flags & CHAN_DURABLE != 0 && chan.log.get().is_none() {
+        // Validate before creating: a refused open changes nothing.
+        let log = if flags & CHAN_DURABLE != 0 {
             let Some(store) = &self.store else {
                 return Err(format!(
                     "channel {name:?} requested durability, but this daemon has no store configured"
                 ));
             };
-            // The store hands every opener of a name the same log, so a
-            // racing open that loses the `set` loses nothing.
             let log = store
                 .channel(name)
                 .map_err(|e| format!("opening segment log for {name:?}: {e}"))?;
+            Some(log)
+        } else {
+            None
+        };
+        let (id, chan) = self.open_channel_inner(name);
+        if let Some(log) = log {
+            // The store hands every opener of a name the same log, so a
+            // later or racing open that loses the `set` loses nothing.
             let _ = chan.log.set(log);
         }
         Ok(id)
@@ -1785,10 +1818,24 @@ impl ServDaemon {
         let store_thread = match &state.store {
             Some(_) => {
                 let store_state = state.clone();
+                // Beside shard 0, not on a core of its own, and in
+                // `SCHED_BATCH` there, so that its wakeups do not preempt
+                // the shard: it drains what the shard queued while the
+                // shard sleeps (see `ServConfig::pin_shards`).
+                let pin_to = config.pin_shards.then(|| shard_cpu(0));
                 Some(
                     std::thread::Builder::new()
                         .name("pbio-serv-store".into())
-                        .spawn(move || store_loop(store_state))?,
+                        .spawn(move || {
+                            if let Some(cpu) = pin_to {
+                                let got = pin_self(cpu);
+                                if got >= 0 {
+                                    let _ = pbio_net::affinity::batch_current_thread();
+                                }
+                                store_state.store_cpu.set(got);
+                            }
+                            store_loop(store_state)
+                        })?,
                 )
             }
             None => None,
@@ -1807,23 +1854,13 @@ impl ServDaemon {
             let sm = ShardMetrics::resolve(&state.registry, i);
             let shard_state = state.clone();
             let shard_handle = handle.clone();
-            let pin_to = config.pin_shards.then(|| {
-                let parallelism = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                i % parallelism
-            });
+            let pin_to = config.pin_shards.then(|| shard_cpu(i));
             shard_threads.push(
                 std::thread::Builder::new()
                     .name(format!("pbio-serv-shard{i}"))
                     .spawn(move || {
                         if let Some(cpu) = pin_to {
-                            // Best-effort: a refused mask (cgroup cpuset,
-                            // non-Linux host) leaves the shard unpinned
-                            // and the snapshot reporting -1.
-                            if pbio_net::affinity::pin_current_thread(cpu).is_ok() {
-                                shard_state.shard_cpus[i].store(cpu as i64, Ordering::Relaxed);
-                            }
+                            shard_state.shard_cpus[i].store(pin_self(cpu), Ordering::Relaxed);
                         }
                         reactor_loop(shard_state, shard_handle, rx, p, sm)
                     })?,
@@ -3225,17 +3262,18 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
     }
 }
 
-/// The store writer: drains the publish→disk queue in batches, groups
-/// consecutive same-channel runs into one `append_batch` (one flush
-/// boundary each), then acks the publishers whose events just became
-/// durable. Runs until the queue is closed *and* drained, so graceful
-/// shutdown never abandons an accepted append.
 /// Publisher acks accumulated across one drained store batch:
 /// conn id → (conn, per-channel (count, last offset)).
 type PendingAcks = HashMap<u32, (Arc<ConnShared>, HashMap<u32, (u32, u64)>)>;
 
+/// The store writer: drains the publish→disk queue in batches, groups
+/// consecutive same-channel runs into one `append_batch` (one `write`
+/// and one flush boundary each), then acks the publishers whose events
+/// just became durable. Runs until the queue is closed *and* drained, so
+/// graceful shutdown never abandons an accepted append.
 fn store_loop(state: Arc<State>) {
     let append_ns = state.registry.histogram("store_append_ns");
+    let batch_events = state.registry.histogram("store_batch_events");
     let torn = state.store.as_ref().map(|s| s.metrics().torn_tails.clone());
     let mut torn_seen = torn.as_ref().map_or(0, |c| c.get());
     let mut batch: Vec<AppendReq> = Vec::with_capacity(512);
@@ -3244,6 +3282,7 @@ fn store_loop(state: Arc<State>) {
         if !state.store_q.pop_batch(&mut batch, 512) {
             break;
         }
+        batch_events.record(batch.len() as u64);
         let mut acks: PendingAcks = HashMap::new();
         let mut i = 0;
         while i < batch.len() {

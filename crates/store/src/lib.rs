@@ -125,6 +125,9 @@ pub struct StoreMetrics {
     pub appended_records: Arc<Counter>,
     /// Bytes appended (entries, including per-segment format metas).
     pub appended_bytes: Arc<Counter>,
+    /// `write` calls made by appends, segment headers included: a
+    /// batch that stays in one segment costs one.
+    pub appended_writes: Arc<Counter>,
     /// Replay streams started (`subscribe_from` and resume-from-offset).
     pub replays: Arc<Counter>,
     /// Event records delivered from disk by replays.
@@ -145,6 +148,7 @@ impl Default for StoreMetrics {
             segments: Arc::new(Counter::new()),
             appended_records: Arc::new(Counter::new()),
             appended_bytes: Arc::new(Counter::new()),
+            appended_writes: Arc::new(Counter::new()),
             replays: Arc::new(Counter::new()),
             replayed_records: Arc::new(Counter::new()),
             torn_tails: Arc::new(Counter::new()),
@@ -161,6 +165,7 @@ impl StoreMetrics {
         registry.register_counter("store_segments", self.segments.clone());
         registry.register_counter("store_appended_records", self.appended_records.clone());
         registry.register_counter("store_appended_bytes", self.appended_bytes.clone());
+        registry.register_counter("store_appended_writes", self.appended_writes.clone());
         registry.register_counter("store_replays", self.replays.clone());
         registry.register_counter("store_replayed_records", self.replayed_records.clone());
         registry.register_counter("store_torn_tails", self.torn_tails.clone());
@@ -475,6 +480,58 @@ mod tests {
             .unwrap();
         assert_eq!(log.readable(), 100);
         assert_eq!(store.metrics().appended_records.get(), 100);
+        assert_eq!(
+            store.metrics().appended_writes.get(),
+            2,
+            "the segment header, then one write for all 100 records"
+        );
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn tear_inside_a_batched_write_recovers_the_whole_batch() {
+        const N: u64 = 64;
+        const PAYLOAD: usize = 40;
+        // Entry = kind + len + crc (9) + offset + format (12) + payload.
+        let event_len = 9 + 12 + PAYLOAD as u64;
+        let meta = b"meta-bytes";
+        let meta_len = 9 + 4 + meta.len() as u64;
+        let root = temp_root("batch-tear");
+        let mut cfg = StoreConfig::new(&root);
+        // Tear 7 bytes into record 31 of the one batched write: a short
+        // write, then a dead handle.
+        let at = segment::HEADER_LEN + meta_len + 31 * event_len + 7;
+        cfg.fault = Some(FaultPlan::new().short_write_on_flush(at, 3));
+        let store = Store::open(cfg).unwrap();
+        let log = store.channel("c").unwrap();
+        let payloads: Vec<Vec<u8>> = (0..N)
+            .map(|i| (0..PAYLOAD).map(|j| (i as usize * 7 + j) as u8).collect())
+            .collect();
+        let base = log.reserve(N);
+        let recs: Vec<Append<'_>> = payloads
+            .iter()
+            .enumerate()
+            .map(|(i, p)| Append {
+                offset: base + i as u64,
+                format: 1,
+                payload: p,
+            })
+            .collect();
+        log.append_batch(&recs, &mut |_| Some(Arc::from(&meta[..])))
+            .unwrap();
+        assert_eq!(store.metrics().torn_tails.get(), 1, "the tear fired");
+        assert_eq!(log.readable(), N, "readable covers the whole batch");
+        assert_eq!(
+            store.metrics().appended_records.get(),
+            N,
+            "each record counted once: the whole ones before the tear, the rest on re-append"
+        );
+        let got = collect_events(&log, 0, N);
+        let offs: Vec<u64> = got.iter().map(|(o, _)| *o).collect();
+        assert_eq!(offs, (0..N).collect::<Vec<u64>>(), "no loss, no dupes");
+        for (off, bytes) in &got {
+            assert_eq!(bytes, &payloads[*off as usize], "record {off} intact");
+        }
         fs::remove_dir_all(&root).ok();
     }
 

@@ -84,7 +84,11 @@ struct Inner {
     /// torn write is injected exactly once and recovery is bounded.
     fault: Option<FaultPlan>,
     bytes_since_sync: u64,
+    /// Entries encoded for the next `write`, and where each event entry
+    /// in it ends (a meta entry always precedes its event, so the last
+    /// end is the buffer's length).
     scratch: Vec<u8>,
+    ends: Vec<usize>,
 }
 
 /// A per-channel append-only segment log.
@@ -179,6 +183,7 @@ impl ChannelLog {
                 fault,
                 bytes_since_sync: 0,
                 scratch: Vec::new(),
+                ends: Vec::new(),
             }),
         })
     }
@@ -287,20 +292,24 @@ impl ChannelLog {
         Ok(())
     }
 
+    /// Encode `recs` into the scratch buffer and write them with one
+    /// `write`; only a segment roll writes what is encoded so far early.
     fn try_append(
         &self,
         inner: &mut Inner,
         recs: &[Append<'_>],
         meta_for: &mut dyn FnMut(u32) -> Option<Arc<[u8]>>,
     ) -> io::Result<()> {
+        inner.scratch.clear();
+        inner.ends.clear();
         for rec in recs {
             let roll = match &inner.active {
                 None => true,
                 // Never roll a segment that holds no events yet: a fresh
                 // segment accepts at least one record however large.
                 Some(a) => {
-                    a.events > 0
-                        && (a.len >= self.config.segment_max_bytes
+                    a.events + inner.ends.len() as u64 > 0
+                        && (a.len + inner.scratch.len() as u64 >= self.config.segment_max_bytes
                             || self
                                 .config
                                 .segment_max_age
@@ -308,16 +317,16 @@ impl ChannelLog {
                 }
             };
             if roll {
+                self.write_encoded(inner)?;
                 self.roll(inner, rec.offset)?;
             }
             let Inner {
                 active,
                 scratch,
-                bytes_since_sync,
+                ends,
                 ..
             } = &mut *inner;
             let a = active.as_mut().unwrap();
-            scratch.clear();
             if !a.metas.contains(&rec.format) {
                 if let Some(meta) = meta_for(rec.format) {
                     push_entry(scratch, REC_META, &[&rec.format.to_be_bytes(), &meta]);
@@ -335,17 +344,58 @@ impl ChannelLog {
                     rec.payload,
                 ],
             );
-            a.w.write_all(scratch)?;
-            a.len += scratch.len() as u64;
-            a.events += 1;
-            *bytes_since_sync += scratch.len() as u64;
-            self.metrics.appended_records.inc();
-            self.metrics.appended_bytes.add(scratch.len() as u64);
+            ends.push(scratch.len());
         }
+        self.write_encoded(inner)?;
         if let Some(a) = inner.active.as_mut() {
             a.w.flush()?;
         }
         Ok(())
+    }
+
+    /// Write the encoded entries to the active segment and count what
+    /// reached it. After a short write only the events whose entries
+    /// landed whole are counted; [`ChannelLog::recover_active`] rescans
+    /// the file for the rest.
+    fn write_encoded(&self, inner: &mut Inner) -> io::Result<()> {
+        let Inner {
+            active,
+            scratch,
+            ends,
+            bytes_since_sync,
+            ..
+        } = &mut *inner;
+        let Some(a) = active.as_mut().filter(|_| !scratch.is_empty()) else {
+            return Ok(());
+        };
+        let (written, res) = self.write_counted(&mut a.w, scratch);
+        let events = ends.partition_point(|&end| end <= written);
+        let bytes = events.checked_sub(1).map_or(0, |last| ends[last]) as u64;
+        a.len += bytes;
+        a.events += events as u64;
+        *bytes_since_sync += bytes;
+        self.metrics.appended_records.add(events as u64);
+        self.metrics.appended_bytes.add(bytes);
+        scratch.clear();
+        ends.clear();
+        res
+    }
+
+    /// `write_all`, counting every `write` call in
+    /// [`StoreMetrics::appended_writes`]; returns the bytes written too,
+    /// which on error is the torn prefix.
+    fn write_counted(&self, w: &mut MaybeFaulty<File>, buf: &[u8]) -> (usize, io::Result<()>) {
+        let mut done = 0;
+        while done < buf.len() {
+            self.metrics.appended_writes.inc();
+            match w.write(&buf[done..]) {
+                Ok(0) => return (done, Err(io::ErrorKind::WriteZero.into())),
+                Ok(n) => done += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return (done, Err(e)),
+            }
+        }
+        (done, Ok(()))
     }
 
     /// Seal the active segment (if any), enforce retention, and open a
@@ -385,7 +435,9 @@ impl ChannelLog {
         );
         inner.scratch.clear();
         push_header(&mut inner.scratch, base);
-        w.write_all(&inner.scratch)?;
+        let (_, res) = self.write_counted(&mut w, &inner.scratch);
+        inner.scratch.clear();
+        res?;
         inner.active = Some(Active {
             base,
             path,

@@ -836,3 +836,137 @@ fn departed_subscriber_lag_gauge_leaves_the_registry() {
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A durable publisher draining acks through `poll` is not held to the
+/// timeout: each call returns once its acks advanced the durable
+/// offset, so the whole drain takes far less than one 5 s timeout.
+#[test]
+fn poll_returns_once_acks_make_progress() {
+    let dir = store_dir("poll-ack");
+    let daemon = ServDaemon::bind_with("127.0.0.1:0", durable_config(&dir)).unwrap();
+    let schema = tick_schema();
+    let mut publisher = ServClient::connect(daemon.local_addr(), &ArchProfile::X86_64).unwrap();
+    let format = publisher.register_format(&schema).unwrap();
+    let chan = publisher.open_channel_durable("acked").unwrap();
+    const N: u64 = 50;
+    for seq in 0..N as i64 {
+        publisher.publish_value(chan, format, &tick(seq)).unwrap();
+    }
+    let start = Instant::now();
+    while publisher.last_durable_offset(chan) != Some(N - 1) {
+        assert!(
+            publisher.poll(Duration::from_secs(5)).unwrap().is_none(),
+            "the publisher subscribed to nothing"
+        );
+        assert!(
+            start.elapsed() < Duration::from_secs(2),
+            "a poll slept out its timeout with acks at {:?}",
+            publisher.last_durable_offset(chan)
+        );
+    }
+    assert!(start.elapsed() < Duration::from_secs(2));
+
+    publisher.disconnect().unwrap();
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A durable open refused for want of a store leaves the daemon as it
+/// was: the channel is not created plain on the way to the refusal.
+#[test]
+fn refused_durable_open_creates_no_channel() {
+    let daemon = ServDaemon::bind_with(
+        "127.0.0.1:0",
+        ServConfig {
+            stats_interval: None,
+            ..ServConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = ServClient::connect(daemon.local_addr(), &ArchProfile::X86_64).unwrap();
+    let names = || -> Vec<(u32, String)> {
+        let topo = daemon.topology();
+        topo.channels.into_iter().map(|c| (c.id, c.name)).collect()
+    };
+    let before = names();
+    assert!(client.open_channel_durable("nostore").is_err());
+    assert_eq!(names(), before, "the refused open left a channel behind");
+
+    client.disconnect().unwrap();
+    daemon.shutdown();
+}
+
+/// The store thread's CPU as its kernel mask reads it:
+/// `Cpus_allowed_list` of every `pbio-serv-store` thread in this process.
+fn store_thread_cpu_lists() -> Vec<String> {
+    let mut out = Vec::new();
+    for task in std::fs::read_dir("/proc/self/task").into_iter().flatten() {
+        let path = task.unwrap().path();
+        let comm = std::fs::read_to_string(path.join("comm")).unwrap_or_default();
+        if comm.trim_end() != "pbio-serv-store" {
+            continue;
+        }
+        let status = std::fs::read_to_string(path.join("status")).unwrap_or_default();
+        if let Some(list) = status
+            .lines()
+            .find_map(|l| l.strip_prefix("Cpus_allowed_list:"))
+        {
+            out.push(list.trim().to_string());
+        }
+    }
+    out
+}
+
+/// With `pin_shards` the store thread joins shard 0's CPU, and says so in
+/// the `serv_store_cpu` gauge; the kernel's mask for the thread agrees.
+/// Skips where the host refuses the pin.
+#[test]
+fn pinned_daemon_puts_the_store_thread_on_shard_zeros_cpu() {
+    let dir = store_dir("pinned");
+    let config = ServConfig {
+        pin_shards: true,
+        ..durable_config(&dir)
+    };
+    let daemon = ServDaemon::bind_with("127.0.0.1:0", config).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let (shard_cpu, store_cpu) = loop {
+        let shard = daemon.topology().shards[0].cpu;
+        let store = daemon.registry().snapshot().gauge("serv_store_cpu");
+        if (shard >= 0 && store == Some(shard)) || Instant::now() > deadline {
+            break (shard, store);
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    if shard_cpu < 0 {
+        eprintln!("skipping: this host refused to pin shard 0");
+    } else {
+        assert_eq!(
+            store_cpu,
+            Some(shard_cpu),
+            "the store thread joined shard 0"
+        );
+        // Only this test pins a store thread, so one thread with that
+        // one-CPU mask must exist among any running daemons'.
+        let lists = store_thread_cpu_lists();
+        assert!(
+            lists.contains(&shard_cpu.to_string()),
+            "no pbio-serv-store thread is pinned to CPU {shard_cpu}: {lists:?}"
+        );
+    }
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Without `pin_shards` the store thread is not pinned and the gauge
+/// says -1.
+#[test]
+fn unpinned_daemon_reports_no_store_cpu() {
+    let dir = store_dir("unpinned");
+    let daemon = ServDaemon::bind_with("127.0.0.1:0", durable_config(&dir)).unwrap();
+    assert_eq!(
+        daemon.registry().snapshot().gauge("serv_store_cpu"),
+        Some(-1)
+    );
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
