@@ -1818,10 +1818,8 @@ impl ServDaemon {
         let store_thread = match &state.store {
             Some(_) => {
                 let store_state = state.clone();
-                // Beside shard 0, not on a core of its own, and in
-                // `SCHED_BATCH` there, so that its wakeups do not preempt
-                // the shard: it drains what the shard queued while the
-                // shard sleeps (see `ServConfig::pin_shards`).
+                // Beside shard 0, in `SCHED_BATCH` (see
+                // `ServConfig::pin_shards` for why).
                 let pin_to = config.pin_shards.then(|| shard_cpu(0));
                 Some(
                     std::thread::Builder::new()

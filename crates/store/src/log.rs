@@ -84,10 +84,10 @@ struct Inner {
     /// torn write is injected exactly once and recovery is bounded.
     fault: Option<FaultPlan>,
     bytes_since_sync: u64,
-    /// Entries encoded for the next `write`, and where each event entry
-    /// in it ends (a meta entry always precedes its event, so the last
-    /// end is the buffer's length).
+    /// Entries encoded for the next `write`.
     scratch: Vec<u8>,
+    /// Where each event entry in `scratch` ends. A meta entry always
+    /// precedes its event, so the last end is the buffer's length.
     ends: Vec<usize>,
 }
 
