@@ -176,13 +176,15 @@ pub struct ServConfig {
     pub tap: Option<TapConfig>,
     /// Pin each reactor shard thread to its own CPU
     /// (`shard i → cpu i % parallelism`, via raw `sched_setaffinity`)
-    /// so per-connection state stops migrating between cores. The
-    /// durable store thread joins shard 0's CPU under `SCHED_BATCH`:
-    /// its wakeups no longer preempt the shard, so it drains large
-    /// batches while the shard sleeps, where on another core it is
-    /// woken about once per event. Pinning failures are non-fatal: the
-    /// thread runs unpinned and reports `-1` (`cpu` in topology
-    /// snapshots, the `serv_store_cpu` gauge).
+    /// so per-connection state stops migrating between cores. In a
+    /// one-shard daemon the durable store thread joins that shard's CPU
+    /// under `SCHED_BATCH`: its wakeups no longer preempt the shard, so
+    /// it drains large batches while the shard sleeps, where on another
+    /// core it is woken about once per event. With more shards it stays
+    /// unpinned, as without this flag: that placement was measured for
+    /// one shard only. Pinning failures are non-fatal: the thread runs
+    /// unpinned and reports `-1` (`cpu` in topology snapshots, the
+    /// `serv_store_cpu` gauge).
     pub pin_shards: bool,
     /// Daemon federation: when set, this daemon joins a static mesh —
     /// channels shard across members by [`crate::mesh::home_of`], any
@@ -1815,12 +1817,13 @@ impl ServDaemon {
                 mesh.add_peer(p.index, p.addr.clone(), host.clone());
             }
         }
+        let shard_count = effective_shards(&config);
         let store_thread = match &state.store {
             Some(_) => {
                 let store_state = state.clone();
-                // Beside shard 0, in `SCHED_BATCH` (see
-                // `ServConfig::pin_shards` for why).
-                let pin_to = config.pin_shards.then(|| shard_cpu(0));
+                // Beside the only shard, in `SCHED_BATCH` (see
+                // `ServConfig::pin_shards` for why and why only then).
+                let pin_to = (config.pin_shards && shard_count == 1).then(|| shard_cpu(0));
                 Some(
                     std::thread::Builder::new()
                         .name("pbio-serv-store".into())
@@ -1838,7 +1841,6 @@ impl ServDaemon {
             }
             None => None,
         };
-        let shard_count = effective_shards(&config);
         let mut shards = Vec::with_capacity(shard_count);
         let mut shard_threads = Vec::with_capacity(shard_count);
         for i in 0..shard_count {
@@ -3266,7 +3268,7 @@ type PendingAcks = HashMap<u32, (Arc<ConnShared>, HashMap<u32, (u32, u64)>)>;
 
 /// The store writer: drains the publish→disk queue in batches, groups
 /// consecutive same-channel runs into one `append_batch` (one `write`
-/// and one flush boundary each), then acks the publishers whose events
+/// per 128 KiB and one flush boundary each), then acks the publishers whose events
 /// just became durable. Runs until the queue is closed *and* drained, so
 /// graceful shutdown never abandons an accepted append.
 fn store_loop(state: Arc<State>) {

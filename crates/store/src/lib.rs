@@ -489,6 +489,54 @@ mod tests {
     }
 
     #[test]
+    fn large_runs_write_early_and_keep_a_bounded_scratch() {
+        use crate::log::{SCRATCH_KEEP_BYTES, SCRATCH_WRITE_BYTES};
+        let root = temp_root("large-run");
+        let store = Store::open(StoreConfig::new(&root)).unwrap();
+        // Several channels, each fed one 1 MiB run of 16 KiB records
+        // and then one record four times the write bound.
+        const N: u64 = 64;
+        let payloads: Vec<Vec<u8>> = (0..N)
+            .map(|i| vec![i as u8; 16 * 1024])
+            .chain(std::iter::once(vec![0xEE; 4 * SCRATCH_WRITE_BYTES]))
+            .collect();
+        for c in 0..3 {
+            let log = store.channel(&format!("c{c}")).unwrap();
+            let base = log.reserve(N + 1);
+            let recs: Vec<Append<'_>> = payloads
+                .iter()
+                .enumerate()
+                .map(|(i, p)| Append {
+                    offset: base + i as u64,
+                    format: 1,
+                    payload: p,
+                })
+                .collect();
+            let writes = store.metrics().appended_writes.get();
+            log.append_batch(&recs[..N as usize], &mut |_| None)
+                .unwrap();
+            assert!(
+                store.metrics().appended_writes.get() - writes >= 8,
+                "a 1 MiB run is written in pieces of at most {SCRATCH_WRITE_BYTES} bytes"
+            );
+            assert!(log.scratch_capacity() <= SCRATCH_KEEP_BYTES);
+            log.append_batch(&recs[N as usize..], &mut |_| None)
+                .unwrap();
+            assert!(
+                log.scratch_capacity() <= SCRATCH_KEEP_BYTES,
+                "an oversized record does not stay in scratch"
+            );
+            assert_eq!(log.readable(), N + 1);
+            let got = collect_events(&log, 0, N + 1);
+            assert_eq!(got.len(), N as usize + 1);
+            for (off, bytes) in &got {
+                assert_eq!(bytes, &payloads[*off as usize], "record {off} intact");
+            }
+        }
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
     fn tear_inside_a_batched_write_recovers_the_whole_batch() {
         const N: u64 = 64;
         const PAYLOAD: usize = 40;

@@ -76,6 +76,16 @@ struct Active {
     metas: HashSet<u32>,
 }
 
+/// A run's encoded entries are written once they reach this many bytes,
+/// so the scratch buffer never holds more than this plus one record.
+/// The daemon's store thread drains at most 512 requests at a time;
+/// with payloads up to about 200 B that is one write per run.
+pub(crate) const SCRATCH_WRITE_BYTES: usize = 128 * 1024;
+
+/// Scratch capacity kept between writes: a record larger than
+/// [`SCRATCH_WRITE_BYTES`] grows the buffer for its own write only.
+pub(crate) const SCRATCH_KEEP_BYTES: usize = 2 * SCRATCH_WRITE_BYTES;
+
 struct Inner {
     active: Option<Active>,
     /// Sealed segment base offsets, ascending.
@@ -226,6 +236,12 @@ impl ChannelLog {
         Ok(total)
     }
 
+    /// Capacity of the scratch buffer appends encode into.
+    #[cfg(test)]
+    pub(crate) fn scratch_capacity(&self) -> usize {
+        self.inner.lock().unwrap().scratch.capacity()
+    }
+
     /// Number of segment files (sealed + active).
     pub fn segment_count(&self) -> usize {
         let inner = self.inner.lock().unwrap();
@@ -293,7 +309,8 @@ impl ChannelLog {
     }
 
     /// Encode `recs` into the scratch buffer and write them with one
-    /// `write`; only a segment roll writes what is encoded so far early.
+    /// `write`; a segment roll, or [`SCRATCH_WRITE_BYTES`] encoded,
+    /// writes what is encoded so far early.
     fn try_append(
         &self,
         inner: &mut Inner,
@@ -345,6 +362,9 @@ impl ChannelLog {
                 ],
             );
             ends.push(scratch.len());
+            if scratch.len() >= SCRATCH_WRITE_BYTES {
+                self.write_encoded(inner)?;
+            }
         }
         self.write_encoded(inner)?;
         if let Some(a) = inner.active.as_mut() {
@@ -377,6 +397,7 @@ impl ChannelLog {
         self.metrics.appended_records.add(events as u64);
         self.metrics.appended_bytes.add(bytes);
         scratch.clear();
+        scratch.shrink_to(SCRATCH_KEEP_BYTES);
         ends.clear();
         res
     }

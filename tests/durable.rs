@@ -917,13 +917,14 @@ fn store_thread_cpu_lists() -> Vec<String> {
     out
 }
 
-/// With `pin_shards` the store thread joins shard 0's CPU, and says so in
-/// the `serv_store_cpu` gauge; the kernel's mask for the thread agrees.
-/// Skips where the host refuses the pin.
+/// With `pin_shards` the store thread of a one-shard daemon joins that
+/// shard's CPU, and says so in the `serv_store_cpu` gauge; the kernel's
+/// mask for the thread agrees. Skips where the host refuses the pin.
 #[test]
 fn pinned_daemon_puts_the_store_thread_on_shard_zeros_cpu() {
     let dir = store_dir("pinned");
     let config = ServConfig {
+        shards: 1,
         pin_shards: true,
         ..durable_config(&dir)
     };
@@ -953,6 +954,32 @@ fn pinned_daemon_puts_the_store_thread_on_shard_zeros_cpu() {
             "no pbio-serv-store thread is pinned to CPU {shard_cpu}: {lists:?}"
         );
     }
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// With `pin_shards` and more than one shard the store thread stays
+/// unpinned: the gauge still says -1 once an acked publish shows the
+/// thread has started serving.
+#[test]
+fn pinned_multi_shard_daemon_leaves_the_store_thread_unpinned() {
+    let dir = store_dir("pinned-multi");
+    let config = ServConfig {
+        shards: 2,
+        pin_shards: true,
+        ..durable_config(&dir)
+    };
+    let daemon = ServDaemon::bind_with("127.0.0.1:0", config).unwrap();
+    let mut publisher = ServClient::connect(daemon.local_addr(), &ArchProfile::X86_64).unwrap();
+    let format = publisher.register_format(&tick_schema()).unwrap();
+    let chan = publisher.open_channel_durable("multi").unwrap();
+    publisher.publish_value(chan, format, &tick(0)).unwrap();
+    await_acks(&mut publisher, 1);
+    assert_eq!(
+        daemon.registry().snapshot().gauge("serv_store_cpu"),
+        Some(-1)
+    );
+    drop(publisher);
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
