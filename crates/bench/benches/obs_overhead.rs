@@ -42,7 +42,7 @@ use pbio_types::arch::ArchProfile;
 /// Iterations per timed repetition.
 const ITERS: u32 = 30_000;
 /// Repetitions; the minimum is reported (least-noise estimate).
-const REPS: usize = 7;
+const REPS: usize = 31;
 
 /// [`System`] allocator with an allocation counter, so the guard can
 /// assert a code path allocates exactly as much as its baseline.

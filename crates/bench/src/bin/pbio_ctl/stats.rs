@@ -28,7 +28,7 @@ use crate::common::{demo, fmt_us, Plane, SMOKE_DURATION};
 use crate::Command;
 
 /// Latest snapshot per publisher, keyed and ordered by (role, id).
-pub type Snapshots = BTreeMap<(u32, u32), (StatsHeader, Snapshot)>;
+type Snapshots = BTreeMap<(u32, u32), (StatsHeader, Snapshot)>;
 
 /// `pbio-ctl stats` and its flags.
 pub struct Stats {

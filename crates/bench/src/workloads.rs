@@ -85,7 +85,7 @@ fn header_fields() -> Vec<FieldDecl> {
 /// Build the workload schema for one size class. The double array count is
 /// chosen so the native record on the reference architecture (the paper's
 /// Sparc) is as close as possible to the target size.
-pub fn sized_schema(size: MsgSize) -> Schema {
+fn sized_schema(size: MsgSize) -> Schema {
     let reference = &ArchProfile::SPARC_V8;
     let base = Schema::new("mech_record", header_fields()).expect("valid header schema");
     let base_size = Layout::of(&base, reference).expect("layout").size();
@@ -106,7 +106,7 @@ pub fn sized_schema(size: MsgSize) -> Schema {
 /// Values are chosen to survive every conversion in the test matrix: `long`
 /// fields stay within i32 (ILP32 architectures), floats are f32-exact where
 /// the field is `float`.
-pub fn value_for(schema: &Schema, seed: u64) -> RecordValue {
+fn value_for(schema: &Schema, seed: u64) -> RecordValue {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut v = RecordValue::new();
     for f in schema.fields() {

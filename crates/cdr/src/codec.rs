@@ -166,13 +166,6 @@ impl CdrCodec {
         )?;
         Ok(())
     }
-
-    /// Whether unmarshalling a message with this flag byte would need
-    /// byte-swapping (false on homogeneous exchanges — reader-makes-right's
-    /// one saving).
-    pub fn needs_swap(&self, wire: &[u8]) -> bool {
-        !wire.is_empty() && (wire[0] == 1) != (self.profile.endianness == Endianness::Little)
-    }
 }
 
 /// Map a (logical, concrete) type pair to flat ops. Wire widths come from
@@ -446,6 +439,13 @@ mod tests {
     use pbio_types::schema::{AtomType, FieldDecl};
     use pbio_types::value::{decode_native, encode_native, RecordValue, Value};
 
+    /// Whether `codec` unmarshalling a message with this flag byte would
+    /// need byte-swapping (false on homogeneous exchanges —
+    /// reader-makes-right's one saving).
+    fn needs_swap(codec: &CdrCodec, wire: &[u8]) -> bool {
+        !wire.is_empty() && (wire[0] == 1) != (codec.profile.endianness == Endianness::Little)
+    }
+
     fn mixed() -> Schema {
         Schema::new(
             "mixed",
@@ -514,9 +514,9 @@ mod tests {
         let b = CdrCodec::new(&schema, &ArchProfile::X86_64).unwrap();
         let native = encode_native(&mixed_value(), a.layout()).unwrap();
         let wire = a.marshal(&native).unwrap();
-        assert!(!b.needs_swap(&wire), "same byte order: no swapping");
+        assert!(!needs_swap(&b, &wire), "same byte order: no swapping");
         let c = CdrCodec::new(&schema, &ArchProfile::SPARC_V8).unwrap();
-        assert!(c.needs_swap(&wire), "cross order: reader swaps");
+        assert!(needs_swap(&c, &wire), "cross order: reader swaps");
     }
 
     #[test]

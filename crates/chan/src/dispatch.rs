@@ -1,16 +1,12 @@
-//! Subscriber fan-out, factored out of [`crate::channel::Channel`] so the
-//! in-process channel and the networked daemon (`pbio-serv`) share one
-//! dispatch engine.
+//! Subscriber fan-out: the dispatch engine behind each channel of the
+//! networked daemon (`pbio-serv`).
 //!
 //! The engine owns the per-event loop — skip inactive subscribers, ask each
-//! one's filter, count filtered/delivered/dropped — while the two halves of
-//! subscriber behavior stay pluggable through the [`Subscriber`] trait:
-//!
-//! * the local channel's subscriber converts the record for its
-//!   architecture and invokes a callback;
-//! * the daemon's subscriber compiles the filter per incoming wire format
-//!   and enqueues the untouched wire bytes on a bounded outbound queue
-//!   (which may drop, hence [`DeliveryOutcome::Dropped`]).
+//! one's filter, count filtered/delivered/dropped — while subscriber
+//! behavior stays pluggable through the [`Subscriber`] trait: the daemon's
+//! subscriber compiles the filter per incoming wire format and enqueues
+//! the untouched wire bytes on a bounded outbound queue (which may drop,
+//! hence [`DeliveryOutcome::Dropped`]).
 //!
 //! Delivery hands each subscriber a shared [`WireBuf`], so fanning one
 //! event out to N subscribers costs at most one allocation total (and
@@ -22,8 +18,7 @@ use std::sync::Arc;
 use pbio_net::buf::WireBuf;
 use pbio_obs::{epoch_ns, Counter, Histogram, Span, TraceCtx, TraceHop, TraceSink, HOP_FILTER};
 
-/// Identifies one subscription on a fan-out (and, re-exported, on a
-/// [`crate::channel::Channel`]).
+/// Identifies one subscription on a fan-out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SubscriptionId(pub(crate) usize);
 

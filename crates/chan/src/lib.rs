@@ -11,7 +11,8 @@
 //! against the sender's native bytes so that unwanted events are never
 //! transmitted or converted.
 //!
-//! This crate implements that layer on top of `pbio`:
+//! This crate implements the parts of that layer the `pbio-serv` daemon
+//! runs each channel on:
 //!
 //! * [`filter::Predicate`] — a small boolean expression language over
 //!   scalar record fields (`lt`/`le`/`gt`/`ge`/`eq`/`ne`, `and`/`or`/`not`),
@@ -19,24 +20,21 @@
 //!   program that reads fields straight out of the *wire-format* record
 //!   (byte order and widths handled by the generated code), plus an
 //!   interpreted reference evaluator used for differential testing,
-//! * [`channel::Channel`] — a single-process event channel: one source
-//!   format, many subscribers, each with its own architecture, its own
-//!   expected schema (PBIO type extension applies) and an optional filter,
 //! * [`dispatch::Fanout`] — the per-event loop (filter gate, counters,
-//!   delivery outcomes) shared between [`channel::Channel`] and the
-//!   networked daemon in `pbio-serv`,
+//!   delivery outcomes) behind each channel of the networked daemon in
+//!   `pbio-serv`, where subscribers on any architecture attach over TCP,
 //! * [`wire`] — a compact serialization for predicates, so a remote
 //!   subscriber can ship its filter to the daemon for evaluation at the
 //!   source.
 
 #![warn(missing_docs)]
 
-pub mod channel;
 pub mod dispatch;
 pub mod filter;
 pub mod wire;
 
-pub use channel::{Channel, ChannelStats, SubscriptionId};
-pub use dispatch::{DeliveryOutcome, DispatchStats, Fanout, FanoutObs, FanoutTraceObs, Subscriber};
+pub use dispatch::{
+    DeliveryOutcome, DispatchStats, Fanout, FanoutObs, FanoutTraceObs, Subscriber, SubscriptionId,
+};
 pub use filter::{CmpOp, FilterError, FilterProgram, Literal, Predicate};
 pub use wire::{deserialize_predicate, serialize_predicate};

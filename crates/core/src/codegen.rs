@@ -44,7 +44,7 @@ const SCRATCH: Reg = Reg(2);
 /// First register of the per-loop-depth register file (3 per depth).
 const LOOP_BASE: u8 = 4;
 /// Maximum loop nesting depth the generator supports.
-pub const MAX_LOOP_DEPTH: usize = 9;
+const MAX_LOOP_DEPTH: usize = 9;
 
 /// Arrays up to this many elements are fully unrolled in optimized mode
 /// (letting the peephole pass coalesce them); longer arrays get counted

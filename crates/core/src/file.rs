@@ -27,16 +27,15 @@ use crate::view::RecordView;
 use crate::writer::{FormatId, Writer};
 
 /// Magic bytes opening a PBIO file.
-pub const FILE_MAGIC: &[u8; 8] = b"PBIOFILE";
+const FILE_MAGIC: &[u8; 8] = b"PBIOFILE";
 /// File format version.
-pub const FILE_VERSION: u8 = 1;
+const FILE_VERSION: u8 = 1;
 
 /// Writes a PBIO record file through any [`Write`] sink.
 pub struct FileWriter<W: Write> {
     writer: Writer,
     sink: W,
     buf: Vec<u8>,
-    records: u64,
 }
 
 impl<W: Write> FileWriter<W> {
@@ -48,7 +47,6 @@ impl<W: Write> FileWriter<W> {
             writer: Writer::new(profile),
             sink,
             buf: Vec::new(),
-            records: 0,
         })
     }
 
@@ -59,11 +57,10 @@ impl<W: Write> FileWriter<W> {
     }
 
     /// Append one record given as native bytes.
-    pub fn write_record(&mut self, id: FormatId, native: &[u8]) -> Result<(), PbioError> {
+    fn write_record(&mut self, id: FormatId, native: &[u8]) -> Result<(), PbioError> {
         self.buf.clear();
         self.writer.write(id, native, &mut self.buf)?;
         self.sink.write_all(&self.buf).map_err(io_err)?;
-        self.records += 1;
         Ok(())
     }
 
@@ -71,11 +68,6 @@ impl<W: Write> FileWriter<W> {
     pub fn write_value(&mut self, id: FormatId, value: &RecordValue) -> Result<(), PbioError> {
         let native = self.writer.encode_value(id, value)?;
         self.write_record(id, &native)
-    }
-
-    /// Records written so far.
-    pub fn record_count(&self) -> u64 {
-        self.records
     }
 
     /// Flush and return the sink.
@@ -98,18 +90,9 @@ pub struct FileReader<R: Read> {
 }
 
 impl<R: Read> FileReader<R> {
-    /// Open a file for a reading program on `profile` (with the default DCG
-    /// conversion mode).
-    pub fn open(source: R, profile: &ArchProfile) -> Result<FileReader<R>, PbioError> {
-        Self::open_with_mode(source, profile, ConversionMode::Dcg)
-    }
-
-    /// Open with an explicit conversion mode.
-    pub fn open_with_mode(
-        mut source: R,
-        profile: &ArchProfile,
-        mode: ConversionMode,
-    ) -> Result<FileReader<R>, PbioError> {
+    /// Open a file for a reading program on `profile` (records convert
+    /// through generated code, the DCG mode).
+    pub fn open(mut source: R, profile: &ArchProfile) -> Result<FileReader<R>, PbioError> {
         let mut header = [0u8; 9];
         source
             .read_exact(&mut header)
@@ -124,7 +107,7 @@ impl<R: Read> FileReader<R> {
             )));
         }
         Ok(FileReader {
-            reader: Reader::with_mode(profile, mode),
+            reader: Reader::with_mode(profile, ConversionMode::Dcg),
             source,
             pending: Vec::new(),
             eof: false,
@@ -210,7 +193,6 @@ mod tests {
         for step in 0..n {
             fw.write_value(id, &record(step)).unwrap();
         }
-        assert_eq!(fw.record_count(), n as u64);
         fw.finish().unwrap()
     }
 

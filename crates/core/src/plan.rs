@@ -85,12 +85,12 @@ impl ScalarSig {
 
     /// True if a scalar with this signature can be moved to `dst` by a plain
     /// byte copy.
-    pub fn copy_compatible(&self, dst: &ScalarSig) -> bool {
+    fn copy_compatible(&self, dst: &ScalarSig) -> bool {
         self.w == dst.w && self.kind == dst.kind && (self.w == 1 || self.endian == dst.endian)
     }
 
     /// True if the only difference from `dst` is byte order.
-    pub fn swap_compatible(&self, dst: &ScalarSig) -> bool {
+    fn swap_compatible(&self, dst: &ScalarSig) -> bool {
         self.w == dst.w && self.kind == dst.kind && self.w > 1 && self.endian != dst.endian
     }
 }
@@ -191,7 +191,7 @@ pub enum Step {
 
 impl Step {
     /// True if this step (or any nested step) touches the variable region.
-    pub fn is_variable(&self) -> bool {
+    fn is_variable(&self) -> bool {
         match self {
             Step::VarBytes { .. } | Step::VarLoop { .. } => true,
             Step::FixedLoop { body, .. } => body.iter().any(Step::is_variable),
@@ -335,13 +335,6 @@ impl Plan {
             .iter()
             .find(|r| r.name == name)
             .map(|r| r.status)
-    }
-
-    /// True if every receiver field matched a sender field.
-    pub fn fully_matched(&self) -> bool {
-        self.reports
-            .iter()
-            .all(|r| r.status == FieldStatus::Matched)
     }
 }
 
@@ -603,6 +596,13 @@ mod tests {
     use pbio_types::arch::ArchProfile;
     use pbio_types::schema::{AtomType, FieldDecl, Schema, TypeDesc};
 
+    /// True if every receiver field matched a sender field.
+    fn fully_matched(plan: &Plan) -> bool {
+        plan.reports
+            .iter()
+            .all(|r| r.status == FieldStatus::Matched)
+    }
+
     fn layouts(schema: &Schema, sp: &ArchProfile, dp: &ArchProfile) -> (Arc<Layout>, Arc<Layout>) {
         (
             Arc::new(Layout::of(schema, sp).unwrap()),
@@ -628,7 +628,7 @@ mod tests {
         let (s, d) = layouts(&mixed(), &ArchProfile::SPARC_V8, &ArchProfile::SPARC_V8);
         let plan = Plan::build(s, d);
         assert!(plan.identical);
-        assert!(plan.fully_matched());
+        assert!(fully_matched(&plan));
     }
 
     #[test]
@@ -638,7 +638,7 @@ mod tests {
         let (s, d) = layouts(&mixed(), &ArchProfile::SPARC_V8, &ArchProfile::X86_64);
         let plan = Plan::build(s, d);
         assert!(!plan.identical);
-        assert!(plan.fully_matched());
+        assert!(fully_matched(&plan));
         let has_swap = plan
             .fixed_steps
             .iter()
@@ -658,7 +658,7 @@ mod tests {
         let (s, d) = layouts(&mixed(), &ArchProfile::SPARC_V8, &ArchProfile::MIPS_64);
         let plan = Plan::build(s, d);
         assert!(!plan.identical);
-        assert!(plan.fully_matched());
+        assert!(fully_matched(&plan));
         assert!(plan
             .fixed_steps
             .iter()
@@ -746,7 +746,7 @@ mod tests {
         let s = Arc::new(Layout::of(&sender, &ArchProfile::X86).unwrap());
         let d = Arc::new(Layout::of(&mixed(), &ArchProfile::X86).unwrap());
         let plan = Plan::build(s, d);
-        assert!(plan.fully_matched());
+        assert!(fully_matched(&plan));
         assert_eq!(plan.ignored_fields, vec!["extra".to_string()]);
         assert!(!plan.identical, "offsets shifted; conversion required");
     }
@@ -896,7 +896,7 @@ mod tests {
         let s = Arc::new(Layout::of(&outer_s, &ArchProfile::X86).unwrap());
         let d = Arc::new(Layout::of(&outer_d, &ArchProfile::X86).unwrap());
         let plan = Plan::build(s, d);
-        assert!(plan.fully_matched());
+        assert!(fully_matched(&plan));
         assert_eq!(
             plan.fixed_steps
                 .iter()

@@ -47,8 +47,7 @@ pub struct Writer {
     formats: HashMap<u32, WriterFormat>,
     next_local: u32,
     server: Option<Arc<FormatServer>>,
-    /// Scratch for value encoding ([`Writer::write_value`]); shareable via
-    /// [`Writer::with_pool`] so co-located writers recycle one freelist.
+    /// Scratch for value encoding ([`Writer::write_value`]).
     pool: Arc<BufPool>,
 }
 
@@ -75,12 +74,6 @@ impl Writer {
             server: Some(server),
             pool: BufPool::new(),
         }
-    }
-
-    /// Replace this writer's scratch pool with a shared one.
-    pub fn with_pool(mut self, pool: Arc<BufPool>) -> Writer {
-        self.pool = pool;
-        self
     }
 
     /// The writer's scratch pool (counters via [`BufPool::stats`]).
@@ -209,14 +202,6 @@ impl Writer {
         Ok(encode_native(value, layout)?)
     }
 
-    /// Forget which formats have been announced (e.g. a new connection that
-    /// has not seen the registration messages).
-    pub fn reset_announcements(&mut self) {
-        for f in self.formats.values_mut() {
-            f.announced = false;
-        }
-    }
-
     /// Number of registered formats.
     pub fn format_count(&self) -> usize {
         self.formats.len()
@@ -228,6 +213,14 @@ mod tests {
     use super::*;
     use crate::message::{Message, MessageIter};
     use pbio_types::schema::{AtomType, FieldDecl};
+
+    /// Forget which formats `w` has announced, as for a new connection
+    /// that has not seen the registration messages.
+    fn reset_announcements(w: &mut Writer) {
+        for f in w.formats.values_mut() {
+            f.announced = false;
+        }
+    }
 
     fn schema() -> Schema {
         Schema::new(
@@ -355,7 +348,7 @@ mod tests {
         let native = vec![0u8; w.layout(id).unwrap().size()];
         let mut out = Vec::new();
         w.write(id, &native, &mut out).unwrap();
-        w.reset_announcements();
+        reset_announcements(&mut w);
         let mut out2 = Vec::new();
         w.write(id, &native, &mut out2).unwrap();
         let msgs: Vec<_> = MessageIter::new(&out2).collect::<Result<_, _>>().unwrap();

@@ -10,38 +10,51 @@
 //! (which shard goes where, and whether to pin at all) belongs to the
 //! daemon's config.
 //!
-//! Like [`crate::poll`], the Linux path issues the syscall directly so
-//! the crate stays dependency-free, and every other platform gets an
-//! honest "unsupported" error the caller can treat as "run unpinned".
+//! Like [`crate::poll`], it issues the syscalls directly (through the
+//! crate's one shim) so the crate stays dependency-free.
 
 use std::io;
+
+use crate::sys::{check, syscall, SYS_SCHED_SETAFFINITY, SYS_SCHED_SETSCHEDULER};
+
+/// `SCHED_BATCH` from `<linux/sched.h>`.
+const SCHED_BATCH: usize = 3;
+
+/// Bits in the affinity mask we pass (1024 CPUs, glibc's default
+/// `cpu_set_t` width — comfortably above any host this runs on).
+const MASK_BITS: usize = 1024;
+const MASK_WORDS: usize = MASK_BITS / 64;
 
 /// Pin the *calling* thread to `cpu` (a zero-based logical CPU index).
 ///
 /// Returns `Ok(())` when the kernel accepted the mask. Errors are
-/// non-fatal by design: an out-of-range CPU, a restrictive cgroup
-/// cpuset, or a non-Linux host all surface as `Err`, and the right
-/// caller response is to keep running unpinned (and report `-1` in
-/// topology snapshots).
+/// non-fatal by design: an out-of-range CPU or a restrictive cgroup
+/// cpuset surface as `Err`, and the right caller response is to keep
+/// running unpinned (and report `-1` in topology snapshots).
 pub fn pin_current_thread(cpu: usize) -> io::Result<()> {
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    {
-        sys::setaffinity(cpu)
+    if cpu >= MASK_BITS {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "CPU index exceeds the affinity mask width",
+        ));
     }
-    #[cfg(not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
-    {
-        let _ = cpu;
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "thread pinning is only implemented on Linux",
-        ))
-    }
+    let mut mask = [0u64; MASK_WORDS];
+    mask[cpu / 64] = 1u64 << (cpu % 64);
+    // SAFETY: the kernel only reads `size_of_val(&mask)` bytes of the
+    // mask, a live stack array. pid 0 = the calling thread.
+    let ret = unsafe {
+        syscall(
+            SYS_SCHED_SETAFFINITY,
+            [
+                0,
+                std::mem::size_of_val(&mask),
+                mask.as_ptr() as usize,
+                0,
+                0,
+            ],
+        )
+    };
+    check(ret).map(drop)
 }
 
 /// Give the *calling* thread the `SCHED_BATCH` policy: same weight and
@@ -55,127 +68,17 @@ pub fn pin_current_thread(cpu: usize) -> io::Result<()> {
 /// capability). Errors are non-fatal like [`pin_current_thread`]'s: the
 /// thread keeps its normal policy.
 pub fn batch_current_thread() -> io::Result<()> {
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    {
-        sys::set_batch_policy()
-    }
-    #[cfg(not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
-    {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "scheduling policies are only implemented on Linux",
-        ))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Linux sched_setaffinity(2) / sched_setscheduler(2) backend — raw
-// syscalls, no libc.
-
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-mod sys {
-    use std::io;
-
-    #[cfg(target_arch = "x86_64")]
-    const SYS_SCHED_SETSCHEDULER: isize = 144;
-    #[cfg(target_arch = "aarch64")]
-    const SYS_SCHED_SETSCHEDULER: isize = 119;
-    #[cfg(target_arch = "x86_64")]
-    const SYS_SCHED_SETAFFINITY: isize = 203;
-    #[cfg(target_arch = "aarch64")]
-    const SYS_SCHED_SETAFFINITY: isize = 122;
-
-    /// `SCHED_BATCH` from `<linux/sched.h>`.
-    const SCHED_BATCH: usize = 3;
-
-    /// Bits in the affinity mask we pass (1024 CPUs, glibc's default
-    /// `cpu_set_t` width — comfortably above any host this runs on).
-    const MASK_BITS: usize = 1024;
-    const MASK_WORDS: usize = MASK_BITS / 64;
-
-    pub(super) fn setaffinity(cpu: usize) -> io::Result<()> {
-        if cpu >= MASK_BITS {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "CPU index exceeds the affinity mask width",
-            ));
-        }
-        let mut mask = [0u64; MASK_WORDS];
-        mask[cpu / 64] = 1u64 << (cpu % 64);
-        // pid 0 = the calling thread. The kernel only *reads* `len`
-        // bytes of the mask, a live stack array.
-        check(syscall3(
-            SYS_SCHED_SETAFFINITY,
-            0,
-            std::mem::size_of_val(&mask),
-            mask.as_ptr() as usize,
-        ))
-    }
-
-    pub(super) fn set_batch_policy() -> io::Result<()> {
-        // `struct sched_param { int sched_priority; }`: 0 for the normal
-        // policies. The kernel only reads it.
-        let param: i32 = 0;
-        check(syscall3(
+    // `struct sched_param { int sched_priority; }`: 0 for the normal
+    // policies.
+    let param: i32 = 0;
+    // SAFETY: the kernel only reads the live stack `param`.
+    let ret = unsafe {
+        syscall(
             SYS_SCHED_SETSCHEDULER,
-            0,
-            SCHED_BATCH,
-            &param as *const i32 as usize,
-        ))
-    }
-
-    fn check(ret: isize) -> io::Result<()> {
-        if ret < 0 {
-            return Err(io::Error::from_raw_os_error(-ret as i32));
-        }
-        Ok(())
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn syscall3(nr: isize, a: usize, b: usize, c: usize) -> isize {
-        let ret: isize;
-        // SAFETY: both callers pass pointers to live stack values the
-        // kernel only reads; no memory is written by the kernel.
-        unsafe {
-            core::arch::asm!(
-                "syscall",
-                inlateout("rax") nr => ret,
-                in("rdi") a,
-                in("rsi") b,
-                in("rdx") c,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    fn syscall3(nr: isize, a: usize, b: usize, c: usize) -> isize {
-        let ret: isize;
-        // SAFETY: as above; aarch64 passes the syscall number in x8.
-        unsafe {
-            core::arch::asm!(
-                "svc 0",
-                in("x8") nr,
-                inlateout("x0") a => ret,
-                in("x1") b,
-                in("x2") c,
-                options(nostack),
-            );
-        }
-        ret
-    }
+            [0, SCHED_BATCH, &param as *const i32 as usize, 0, 0],
+        )
+    };
+    check(ret).map(drop)
 }
 
 #[cfg(test)]
@@ -183,7 +86,6 @@ mod tests {
     use super::*;
 
     #[test]
-    #[cfg(target_os = "linux")]
     fn pinning_to_cpu_zero_succeeds() {
         // CPU 0 always exists; the call must take effect without error.
         pin_current_thread(0).expect("pin to CPU 0");
@@ -195,7 +97,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg(target_os = "linux")]
     fn batch_policy_takes_effect() {
         // On a thread of its own: the policy sticks to the caller.
         std::thread::spawn(|| {

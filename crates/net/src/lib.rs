@@ -27,17 +27,24 @@
 //!   bodies are made of, so fanning one event out to many connections is
 //!   refcount bumps rather than copies,
 //! * [`poll`] — a dependency-free readiness selector ([`poll::Poller`]
-//!   over raw `ppoll(2)` on Linux, a portable fallback elsewhere) plus a
-//!   cross-thread [`poll::Waker`], the foundation of the serv daemon's
-//!   sharded reactor event loop,
-//! * [`affinity`] — thread → CPU pinning (raw `sched_setaffinity(2)` on
-//!   Linux, unsupported elsewhere) so those reactor shards can stop
-//!   migrating between cores.
+//!   over raw `ppoll(2)`) plus a cross-thread [`poll::Waker`], the
+//!   foundation of the serv daemon's sharded reactor event loop,
+//! * [`affinity`] — thread → CPU pinning (raw `sched_setaffinity(2)`) so
+//!   those reactor shards can stop migrating between cores.
+//!
+//! Both issue their syscalls through one private shim with no `libc`,
+//! so the crate builds for Linux on x86_64 or aarch64 only.
 //!
 //! The harness that times encode/decode legs against [`link::SimLink`] for
 //! the paper's Figures 1 and 5 lives in `pbio-bench`.
 
 #![warn(missing_docs)]
+
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+compile_error!("pbio-net supports Linux on x86_64 or aarch64 only");
 
 pub mod affinity;
 pub mod buf;
@@ -49,6 +56,7 @@ pub mod frame;
 pub mod link;
 mod metrics;
 pub mod poll;
+mod sys;
 
 pub use buf::WireBuf;
 pub use clock::ClockSync;

@@ -1,55 +1,36 @@
-//! A thin, dependency-free readiness-polling abstraction.
+//! A thin, dependency-free readiness selector.
 //!
 //! The serv daemon's reactor threads need one primitive the standard
 //! library does not expose: "sleep until any of these sockets is readable
-//! or writable, or until someone wakes me". This module provides it as a
-//! [`Poller`] trait with two implementations, selected at runtime by
-//! [`poller()`]:
+//! or writable, or until someone wakes me". [`Poller`] provides it over
+//! `ppoll(2)`, issued as a raw syscall through the crate's one shim — no
+//! `libc`, no new crates. The registered set is rebuilt as a `pollfd`
+//! array per call, which makes interest changes free and keeps the
+//! implementation small; at the few thousand descriptors a single
+//! reactor shard owns, the kernel-side scan is not the bottleneck (the
+//! daemon shards connections across reactors precisely so no single set
+//! grows unboundedly).
 //!
-//! * On Linux (x86_64 / aarch64) a real `ppoll(2)` backend, invoked as a
-//!   raw syscall through `core::arch::asm!` — no `libc`, no new crates.
-//!   The registered set is rebuilt as a `pollfd` array per call, which
-//!   makes interest changes free and keeps the implementation small; at
-//!   the few thousand descriptors a single reactor shard owns, the
-//!   kernel-side scan is not the bottleneck (the daemon shards
-//!   connections across reactors precisely so no single set grows
-//!   unboundedly).
-//! * Everywhere else, a portable fallback that sleeps in short slices and
-//!   reports every registered source as ready. Spurious readiness is safe
-//!   by construction: reactor handlers treat `WouldBlock` as "nothing to
-//!   do", so the fallback costs latency and idle wakeups, never
-//!   correctness.
-//!
-//! Cross-thread wakeups come from a [`Waker`]: on the syscall backend a
-//! self-connected nonblocking UDP socket whose descriptor is part of every
-//! poll set (one datagram = one wakeup, drained inside [`Poller::poll`]),
-//! on the fallback a flag + condvar. A `Waker` is cheaply cloneable and
-//! may be fired from any thread.
+//! Cross-thread wakeups come from a [`Waker`]: a self-connected
+//! nonblocking UDP socket whose descriptor is part of every poll set (one
+//! datagram = one wakeup, drained inside [`Poller::poll`]). A `Waker` is
+//! cheaply cloneable and may be fired from any thread.
 
+use std::collections::HashMap;
 use std::io;
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::UdpSocket;
+use std::os::unix::io::{AsRawFd, RawFd};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// The OS-level identity of a pollable source. On Unix this is the raw
-/// file descriptor; elsewhere it is an opaque integer the fallback poller
-/// carries but never interprets.
-#[cfg(unix)]
-pub type RawSource = std::os::unix::io::RawFd;
-/// The OS-level identity of a pollable source (non-Unix placeholder).
-#[cfg(not(unix))]
-pub type RawSource = i32;
+use crate::sys::{check, syscall, SYS_PPOLL};
+
+/// The OS-level identity of a pollable source: its raw file descriptor.
+pub type RawSource = RawFd;
 
 /// The raw readiness source of a socket-like object.
-#[cfg(unix)]
-pub fn source_of(s: &impl std::os::unix::io::AsRawFd) -> RawSource {
+pub fn source_of(s: &impl AsRawFd) -> RawSource {
     s.as_raw_fd()
-}
-
-/// The raw readiness source of a socket-like object (non-Unix: sources
-/// are opaque and the fallback poller reports them all ready anyway).
-#[cfg(not(unix))]
-pub fn source_of<T>(_s: &T) -> RawSource {
-    0
 }
 
 /// What a registration wants to be woken for.
@@ -88,244 +69,129 @@ pub struct Event {
     pub writable: bool,
 }
 
-/// A readiness selector over a set of registered sources.
-///
-/// Not thread-safe by design: each reactor owns its poller outright.
-/// Cross-thread signalling goes through the paired [`Waker`] instead.
-pub trait Poller: Send {
-    /// Add `src` to the set under `token`. Registering an already-present
-    /// source updates its token and interest.
-    fn register(&mut self, src: RawSource, token: usize, interest: Interest);
-    /// Change the interest (and token) of an already-registered source.
-    fn modify(&mut self, src: RawSource, token: usize, interest: Interest);
-    /// Remove `src` from the set. Unknown sources are ignored.
-    fn deregister(&mut self, src: RawSource);
-    /// Wait up to `timeout` for readiness, appending events to `events`
-    /// (which the caller clears). Returns early — possibly with zero
-    /// events — when the paired [`Waker`] fires. Interrupted waits
-    /// (`EINTR`) are reported as an empty, successful poll.
-    fn poll(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()>;
-}
-
 /// Cross-thread wakeup handle paired with one [`Poller`]: firing it makes
 /// the poller's current (or next) [`Poller::poll`] return promptly.
 /// Cloneable, cheap, and safe to fire from any thread; coalescing
 /// multiple wakes into one poll return is allowed and expected.
 #[derive(Clone)]
-pub struct Waker(WakerInner);
-
-#[derive(Clone)]
-enum WakerInner {
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    Udp(Arc<std::net::UdpSocket>),
-    #[allow(dead_code)]
-    Flag(Arc<(Mutex<bool>, Condvar)>),
-}
+pub struct Waker(Arc<UdpSocket>);
 
 impl Waker {
     /// Wake the paired poller. Never blocks; errors (e.g. a full socket
     /// buffer, which already implies a pending wakeup) are swallowed.
     pub fn wake(&self) {
-        match &self.0 {
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            WakerInner::Udp(sock) => {
-                let _ = sock.send(&[1u8]);
-            }
-            WakerInner::Flag(flag) => {
-                let (lock, cond) = &**flag;
-                *lock.lock().unwrap_or_else(|p| p.into_inner()) = true;
-                cond.notify_all();
-            }
-        }
+        let _ = self.0.send(&[1u8]);
     }
 }
 
-/// Build the best poller available on this platform, paired with its
-/// [`Waker`].
-pub fn poller() -> io::Result<(Box<dyn Poller>, Waker)> {
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    {
-        let (p, w) = SysPoller::new()?;
-        Ok((Box::new(p), w))
-    }
-    #[cfg(not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
-    {
-        let (p, w) = FallbackPoller::new();
-        Ok((Box::new(p), w))
+/// Build a [`Poller`] paired with its [`Waker`].
+pub fn poller() -> io::Result<(Poller, Waker)> {
+    // A UDP socket connected to itself: the cheapest self-pipe. One
+    // datagram per wake, drained on poll return.
+    let sock = UdpSocket::bind("127.0.0.1:0")?;
+    sock.connect(sock.local_addr()?)?;
+    sock.set_nonblocking(true)?;
+    let sock = Arc::new(sock);
+    let poller = Poller {
+        registered: HashMap::new(),
+        fds: Vec::new(),
+        tokens: Vec::new(),
+        wake_rx: sock.clone(),
+    };
+    Ok((poller, Waker(sock)))
+}
+
+/// `struct pollfd` as the kernel ABI defines it.
+#[repr(C)]
+#[derive(Clone, Copy)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+#[repr(C)]
+struct Timespec {
+    sec: i64,
+    nsec: i64,
+}
+
+const POLLIN: i16 = 0x001;
+const POLLPRI: i16 = 0x002;
+const POLLOUT: i16 = 0x004;
+const POLLERR: i16 = 0x008;
+const POLLHUP: i16 = 0x010;
+const POLLNVAL: i16 = 0x020;
+
+const EINTR: i32 = 4;
+
+/// Raw `ppoll(2)`. The kernel may update the timespec in place (the raw
+/// syscall writes back remaining time), which is why a fresh one is
+/// built per call. An interrupted wait (`EINTR`) reads as zero ready.
+fn ppoll(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
+    let mut ts = Timespec {
+        sec: timeout.as_secs().min(i64::MAX as u64) as i64,
+        nsec: timeout.subsec_nanos() as i64,
+    };
+    // SAFETY: ppoll reads `fds.len()` pollfd structs from `fds` (a live
+    // mutable slice), writes their `revents`, and may write back `ts`; a
+    // null sigmask leaves the signal mask alone.
+    let ret = unsafe {
+        syscall(
+            SYS_PPOLL,
+            [
+                fds.as_mut_ptr() as usize,
+                fds.len(),
+                &mut ts as *mut Timespec as usize,
+                0,
+                0,
+            ],
+        )
+    };
+    match check(ret) {
+        Err(e) if e.raw_os_error() == Some(EINTR) => Ok(0),
+        r => r,
     }
 }
 
-// ---------------------------------------------------------------------------
-// Linux ppoll(2) backend — raw syscalls, no libc.
-
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-mod sys {
-    use std::io;
-    use std::time::Duration;
-
-    /// `struct pollfd` as the kernel ABI defines it.
-    #[repr(C)]
-    #[derive(Clone, Copy)]
-    pub(super) struct PollFd {
-        pub(super) fd: i32,
-        pub(super) events: i16,
-        pub(super) revents: i16,
-    }
-
-    #[repr(C)]
-    struct Timespec {
-        sec: i64,
-        nsec: i64,
-    }
-
-    pub(super) const POLLIN: i16 = 0x001;
-    pub(super) const POLLPRI: i16 = 0x002;
-    pub(super) const POLLOUT: i16 = 0x004;
-    pub(super) const POLLERR: i16 = 0x008;
-    pub(super) const POLLHUP: i16 = 0x010;
-    pub(super) const POLLNVAL: i16 = 0x020;
-
-    const EINTR: isize = 4;
-
-    #[cfg(target_arch = "x86_64")]
-    const SYS_PPOLL: isize = 271;
-    #[cfg(target_arch = "aarch64")]
-    const SYS_PPOLL: isize = 73;
-
-    /// Raw `ppoll(2)`. The kernel may update the timespec in place (the
-    /// raw syscall writes back remaining time), which is why a fresh one
-    /// is built per call.
-    pub(super) fn ppoll(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
-        let mut ts = Timespec {
-            sec: timeout.as_secs().min(i64::MAX as u64) as i64,
-            nsec: timeout.subsec_nanos() as i64,
-        };
-        let ret = sys_ppoll(fds.as_mut_ptr(), fds.len(), &mut ts);
-        if ret < 0 {
-            if -ret == EINTR {
-                return Ok(0);
-            }
-            return Err(io::Error::from_raw_os_error(-ret as i32));
-        }
-        Ok(ret as usize)
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    fn sys_ppoll(fds: *mut PollFd, nfds: usize, ts: *mut Timespec) -> isize {
-        let ret: isize;
-        // SAFETY: ppoll reads `nfds` pollfd structs from `fds` (a live
-        // mutable slice), writes their `revents`, and may write back the
-        // timespec; a null sigmask (r10) leaves the signal mask alone.
-        unsafe {
-            core::arch::asm!(
-                "syscall",
-                inlateout("rax") SYS_PPOLL => ret,
-                in("rdi") fds,
-                in("rsi") nfds,
-                in("rdx") ts,
-                in("r10") 0usize,
-                in("r8") 0usize,
-                lateout("rcx") _,
-                lateout("r11") _,
-                options(nostack),
-            );
-        }
-        ret
-    }
-
-    #[cfg(target_arch = "aarch64")]
-    fn sys_ppoll(fds: *mut PollFd, nfds: usize, ts: *mut Timespec) -> isize {
-        let ret: isize;
-        // SAFETY: as above; aarch64 passes the syscall number in x8 and
-        // arguments in x0..x4 (sigmask and its size are null/zero).
-        unsafe {
-            core::arch::asm!(
-                "svc 0",
-                in("x8") SYS_PPOLL,
-                inlateout("x0") fds => ret,
-                in("x1") nfds,
-                in("x2") ts,
-                in("x3") 0usize,
-                in("x4") 0usize,
-                options(nostack),
-            );
-        }
-        ret
-    }
-}
-
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-struct SysPoller {
+/// A readiness selector over a set of registered sources.
+///
+/// Not thread-safe by design: each reactor owns its poller outright.
+/// Cross-thread signalling goes through the paired [`Waker`] instead.
+pub struct Poller {
     /// Registered sources: fd → (token, interest). Order is irrelevant —
     /// the pollfd array is rebuilt per call.
-    registered: std::collections::HashMap<RawSource, (usize, Interest)>,
+    registered: HashMap<RawSource, (usize, Interest)>,
     /// Reused pollfd array (slot 0 is always the waker socket).
-    fds: Vec<sys::PollFd>,
+    fds: Vec<PollFd>,
     /// Tokens parallel to `fds`, rebuilt with it.
     tokens: Vec<usize>,
     /// Receive side of the self-connected waker socket.
-    wake_rx: Arc<std::net::UdpSocket>,
+    wake_rx: Arc<UdpSocket>,
 }
 
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-impl SysPoller {
-    fn new() -> io::Result<(SysPoller, Waker)> {
-        // A UDP socket connected to itself: the cheapest portable
-        // self-pipe. One datagram per wake, drained on poll return.
-        let sock = std::net::UdpSocket::bind("127.0.0.1:0")?;
-        sock.connect(sock.local_addr()?)?;
-        sock.set_nonblocking(true)?;
-        let sock = Arc::new(sock);
-        let poller = SysPoller {
-            registered: std::collections::HashMap::new(),
-            fds: Vec::new(),
-            tokens: Vec::new(),
-            wake_rx: sock.clone(),
-        };
-        Ok((poller, Waker(WakerInner::Udp(sock))))
-    }
-}
-
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-impl Poller for SysPoller {
-    fn register(&mut self, src: RawSource, token: usize, interest: Interest) {
+impl Poller {
+    /// Add `src` to the set under `token`. Registering an already-present
+    /// source updates its token and interest.
+    pub fn register(&mut self, src: RawSource, token: usize, interest: Interest) {
         self.registered.insert(src, (token, interest));
     }
 
-    fn modify(&mut self, src: RawSource, token: usize, interest: Interest) {
+    /// Change the interest (and token) of an already-registered source.
+    pub fn modify(&mut self, src: RawSource, token: usize, interest: Interest) {
         self.registered.insert(src, (token, interest));
     }
 
-    fn deregister(&mut self, src: RawSource) {
+    /// Remove `src` from the set. Unknown sources are ignored.
+    pub fn deregister(&mut self, src: RawSource) {
         self.registered.remove(&src);
     }
 
-    fn poll(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
-        use sys::*;
+    /// Wait up to `timeout` for readiness, appending events to `events`
+    /// (which the caller clears). Returns early — possibly with zero
+    /// events — when the paired [`Waker`] fires. Interrupted waits
+    /// (`EINTR`) are reported as an empty, successful poll.
+    pub fn poll(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
         self.fds.clear();
         self.tokens.clear();
         self.fds.push(PollFd {
@@ -378,85 +244,13 @@ impl Poller for SysPoller {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Portable fallback: timed sleep + report-everything-ready.
-
-/// Longest slice the fallback sleeps before spuriously reporting
-/// readiness — its worst-case added latency per event.
-#[allow(dead_code)]
-const FALLBACK_SLICE: Duration = Duration::from_millis(2);
-
-#[allow(dead_code)]
-struct FallbackPoller {
-    registered: Vec<(RawSource, usize, Interest)>,
-    flag: Arc<(Mutex<bool>, Condvar)>,
-}
-
-#[allow(dead_code)]
-impl FallbackPoller {
-    fn new() -> (FallbackPoller, Waker) {
-        let flag = Arc::new((Mutex::new(false), Condvar::new()));
-        (
-            FallbackPoller {
-                registered: Vec::new(),
-                flag: flag.clone(),
-            },
-            Waker(WakerInner::Flag(flag)),
-        )
-    }
-}
-
-impl Poller for FallbackPoller {
-    fn register(&mut self, src: RawSource, token: usize, interest: Interest) {
-        self.deregister(src);
-        self.registered.push((src, token, interest));
-    }
-
-    fn modify(&mut self, src: RawSource, token: usize, interest: Interest) {
-        self.register(src, token, interest);
-    }
-
-    fn deregister(&mut self, src: RawSource) {
-        self.registered.retain(|&(s, _, _)| s != src);
-    }
-
-    fn poll(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
-        let (lock, cond) = &*self.flag;
-        let mut woken = lock.lock().unwrap_or_else(|p| p.into_inner());
-        if !*woken && !self.registered.is_empty() {
-            // Readiness is unknowable here, so trade latency for
-            // correctness: nap briefly, then report everything ready and
-            // let WouldBlock sort out the truth.
-            let (g, _) = cond
-                .wait_timeout(woken, timeout.min(FALLBACK_SLICE))
-                .unwrap_or_else(|p| p.into_inner());
-            woken = g;
-        } else if !*woken {
-            let (g, _) = cond
-                .wait_timeout(woken, timeout)
-                .unwrap_or_else(|p| p.into_inner());
-            woken = g;
-        }
-        *woken = false;
-        drop(woken);
-        for &(_, token, interest) in &self.registered {
-            events.push(Event {
-                token,
-                readable: interest.readable,
-                writable: interest.writable,
-            });
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
 
-    /// Readiness round trip on whatever backend this platform builds:
+    /// Readiness round trip:
     /// writable when the send buffer is empty, readable once bytes land.
     #[test]
     fn tcp_readiness_round_trip() {

@@ -46,17 +46,17 @@ use crate::registry::{Snapshot, TRACE_EXPORT_CAP};
 use crate::tracectx::TraceHop;
 
 /// Name of the generated stats format and of the reserved channel.
-pub const STATS_FORMAT_NAME: &str = "$stats";
+const STATS_FORMAT_NAME: &str = "$stats";
 
 /// Name of the hop-record format and of the reserved trace channel.
-pub const TRACE_FORMAT_NAME: &str = "$trace";
+const TRACE_FORMAT_NAME: &str = "$trace";
 
 /// Name of the topology-snapshot format and of the reserved channel.
-pub const TOPO_FORMAT_NAME: &str = "$topo";
+const TOPO_FORMAT_NAME: &str = "$topo";
 
 /// Name of the flight-recorder event format (used both for `$topo`
 /// embedding and for segment-file dumps).
-pub const FLIGHT_FORMAT_NAME: &str = "$flight";
+const FLIGHT_FORMAT_NAME: &str = "$flight";
 
 /// Snapshot publisher roles carried in the `role` header field.
 pub const ROLE_DAEMON: u32 = 0;
@@ -83,7 +83,7 @@ pub struct StatsHeader {
 }
 
 /// Map a metric name to a PBIO field-name-safe form.
-pub fn sanitize_metric_name(name: &str) -> String {
+fn sanitize_metric_name(name: &str) -> String {
     name.chars()
         .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect()

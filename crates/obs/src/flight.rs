@@ -164,7 +164,7 @@ impl FlightRecorder {
     }
 
     /// Record a pre-stamped event.
-    pub fn record_event(&self, ev: FlightEvent) {
+    fn record_event(&self, ev: FlightEvent) {
         let g = self.head.fetch_add(1, Ordering::AcqRel);
         let slot = &self.slots[(g % self.slots.len() as u64) as usize];
         // Mark in-progress; the RMW's acquire side keeps the field stores

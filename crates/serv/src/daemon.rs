@@ -395,8 +395,8 @@ fn shard_cpu(i: usize) -> usize {
 }
 
 /// Pin the calling thread to `cpu`, best-effort: the CPU it got, or
-/// `-1` when the mask was refused (cgroup cpuset, non-Linux host) and
-/// the thread runs unpinned.
+/// `-1` when the mask was refused (a cgroup cpuset, a CPU index past
+/// the mask) and the thread runs unpinned.
 fn pin_self(cpu: usize) -> i64 {
     match pbio_net::affinity::pin_current_thread(cpu) {
         Ok(()) => cpu as i64,
@@ -1373,9 +1373,22 @@ impl State {
         };
         let (id, chan) = self.open_channel_inner(name);
         if let Some(log) = log {
-            // The store hands every opener of a name the same log, so a
-            // later or racing open that loses the `set` loses nothing.
-            let _ = chan.log.set(log);
+            // Under the fan-out lock, so a publish sees either no log or
+            // subscribers that all have their lag books: each live one
+            // that joined while the channel was plain starts caught up at
+            // the head. The store hands every opener of a name the same
+            // log, so a later or racing open that loses the `set` loses
+            // nothing.
+            let mut fanout = chan.fanout();
+            let head = log.head();
+            if chan.log.set(log).is_ok() {
+                fanout.retain(|_, sub| {
+                    if sub.delivered.is_none() && sub.conn.alive.load(Ordering::Relaxed) {
+                        sub.delivered = Some(chan.lag_entry(&self.registry, sub.conn.id, head));
+                    }
+                    true
+                });
+            }
         }
         Ok(id)
     }
@@ -2350,7 +2363,7 @@ fn reactor_loop(
     state: Arc<State>,
     shard: Arc<ShardHandle>,
     rx: Receiver<ShardMsg>,
-    mut poller: Box<dyn Poller>,
+    mut poller: Poller,
     sm: ShardMetrics,
 ) {
     let mut conns: HashMap<u32, ConnState> = HashMap::new();
@@ -2381,10 +2394,10 @@ fn reactor_loop(
                     // races this flush either lands in the queue in time
                     // to be flushed now, or re-latches a fresh nudge.
                     cs.conn.write_queued.store(false, Ordering::Release);
-                    if flush_and_rearm(&state, &sm, poller.as_mut(), &mut cs) {
+                    if flush_and_rearm(&state, &sm, &mut poller, &mut cs) {
                         conns.insert(id, cs);
                     } else {
-                        teardown_conn(&state, poller.as_mut(), cs);
+                        teardown_conn(&state, &mut poller, cs);
                     }
                 }
             }
@@ -2405,10 +2418,10 @@ fn reactor_loop(
             // Always run the flush: readable processing usually queued
             // replies, and a writable event means a parked partial write
             // can resume. An empty queue costs one try_pop.
-            if flush_and_rearm(&state, &sm, poller.as_mut(), &mut cs) {
+            if flush_and_rearm(&state, &sm, &mut poller, &mut cs) {
                 conns.insert(id, cs);
             } else {
-                teardown_conn(&state, poller.as_mut(), cs);
+                teardown_conn(&state, &mut poller, cs);
             }
         }
         if frames > 0 {
@@ -2446,7 +2459,7 @@ fn reactor_loop(
             }
             for id in dead {
                 if let Some(cs) = conns.remove(&id) {
-                    teardown_conn(&state, poller.as_mut(), cs);
+                    teardown_conn(&state, &mut poller, cs);
                 }
             }
         }
@@ -2456,7 +2469,7 @@ fn reactor_loop(
     for (_, mut cs) in conns.drain() {
         cs.conn.outbound.close();
         let _ = flush_conn(&state, &sm, &mut cs);
-        teardown_conn(&state, poller.as_mut(), cs);
+        teardown_conn(&state, &mut poller, cs);
     }
 }
 
@@ -2706,7 +2719,7 @@ fn flush_conn(state: &Arc<State>, sm: &ShardMetrics, cs: &mut ConnState) -> bool
 fn flush_and_rearm(
     state: &Arc<State>,
     sm: &ShardMetrics,
-    poller: &mut dyn Poller,
+    poller: &mut Poller,
     cs: &mut ConnState,
 ) -> bool {
     if cs.closing {
@@ -2735,7 +2748,7 @@ fn flush_and_rearm(
 /// socket. The final `evict` (not just closing the queue) matters: the resume session table can outlive the reactor's
 /// state for this conn, so the socket must be shut down explicitly for
 /// the peer to observe EOF and begin reconnecting.
-fn teardown_conn(state: &Arc<State>, poller: &mut dyn Poller, cs: ConnState) {
+fn teardown_conn(state: &Arc<State>, poller: &mut Poller, cs: ConnState) {
     poller.deregister(cs.fd);
     cs.conn.alive.store(false, Ordering::Relaxed);
     // A replay thread handing off re-checks `alive` after appending to
@@ -2903,12 +2916,16 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
             };
             // A durable channel's live subscriber starts caught up: its
             // lag watermark seeds at the head and advances per delivery.
+            // The log is read under the fan-out lock a durable upgrade
+            // takes, so a subscriber cannot miss its lag books.
+            let mut fanout = chan.fanout();
             let delivered = chan
                 .log
                 .get()
                 .map(|log| chan.lag_entry(&state.registry, conn.id, log.head()));
             let sub = RemoteSubscriber::new(state, conn, header.a, &chan, predicate, delivered);
-            let id = chan.fanout().subscribe(sub);
+            let id = fanout.subscribe(sub);
+            drop(fanout);
             conn.subs
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
@@ -3262,10 +3279,6 @@ fn handle_frame(state: &Arc<State>, ctx: &mut SessionCtx, header: &FrameHeader, 
     }
 }
 
-/// Publisher acks accumulated across one drained store batch:
-/// conn id → (conn, per-channel (count, last offset)).
-type PendingAcks = HashMap<u32, (Arc<ConnShared>, HashMap<u32, (u32, u64)>)>;
-
 /// The store writer: drains the publish→disk queue in batches, groups
 /// consecutive same-channel runs into one `append_batch` (one `write`
 /// per 128 KiB and one flush boundary each), then acks the publishers whose events
@@ -3277,13 +3290,17 @@ fn store_loop(state: Arc<State>) {
     let torn = state.store.as_ref().map(|s| s.metrics().torn_tails.clone());
     let mut torn_seen = torn.as_ref().map_or(0, |c| c.get());
     let mut batch: Vec<AppendReq> = Vec::with_capacity(512);
+    // Publisher acks accumulated across one drained batch, one entry per
+    // (connection, channel): (conn, chan, newly durable count, last
+    // offset). A batch has few publishers, so a linear search beats a
+    // map, and the vector is reused batch to batch.
+    let mut acks: Vec<(Arc<ConnShared>, u32, u32, u64)> = Vec::new();
     loop {
         batch.clear();
         if !state.store_q.pop_batch(&mut batch, 512) {
             break;
         }
         batch_events.record(batch.len() as u64);
-        let mut acks: PendingAcks = HashMap::new();
         let mut i = 0;
         while i < batch.len() {
             // One consecutive run of the same channel log = one batched
@@ -3315,12 +3332,16 @@ fn store_loop(state: Arc<State>) {
                         if conn.caps() & CAP_DURABLE == 0 {
                             continue;
                         }
-                        let (_, chans) = acks
-                            .entry(conn.id)
-                            .or_insert_with(|| (conn.clone(), HashMap::new()));
-                        let e = chans.entry(r.chan).or_insert((0, 0));
-                        e.0 += 1;
-                        e.1 = r.offset;
+                        match acks
+                            .iter_mut()
+                            .find(|(c, chan, ..)| c.id == conn.id && *chan == r.chan)
+                        {
+                            Some((.., count, last)) => {
+                                *count += 1;
+                                *last = r.offset;
+                            }
+                            None => acks.push((conn, r.chan, 1, r.offset)),
+                        }
                     }
                 }
                 Err(e) => {
@@ -3344,15 +3365,13 @@ fn store_loop(state: Arc<State>) {
         // Acks ride the ordinary outbound queues as control frames (so
         // they are never drop-oldest'd): b = newly-durable count, body =
         // the last durable offset.
-        for (_, (conn, chans)) in acks {
-            for (chan, (count, last)) in chans {
-                conn.send(Frame::with_body(
-                    K_PUBLISH_ACK,
-                    chan,
-                    count,
-                    WireBuf::from(last.to_be_bytes().to_vec()),
-                ));
-            }
+        for (conn, chan, count, last) in acks.drain(..) {
+            conn.send(Frame::with_body(
+                K_PUBLISH_ACK,
+                chan,
+                count,
+                WireBuf::from(last.to_be_bytes().to_vec()),
+            ));
         }
     }
     if let Some(store) = &state.store {

@@ -23,7 +23,7 @@ use crate::schema::{AtomType, FieldDecl, Schema, TypeDesc};
 /// a variable-length field inside the fixed part of a record image.
 pub const VAR_DESCRIPTOR_SIZE: usize = 8;
 /// Alignment of a variable-length field descriptor.
-pub const VAR_DESCRIPTOR_ALIGN: usize = 4;
+const VAR_DESCRIPTOR_ALIGN: usize = 4;
 
 /// A concrete (architecture-resolved) field type. All sizes are final; no
 /// architecture information is needed to interpret a buffer beyond what this

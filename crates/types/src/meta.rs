@@ -16,9 +16,9 @@ use crate::error::TypeError;
 use crate::layout::{ConcreteType, Field, Layout};
 
 /// Magic bytes opening a serialized format description.
-pub const META_MAGIC: &[u8; 4] = b"PBIO";
+const META_MAGIC: &[u8; 4] = b"PBIO";
 /// Version byte of the metadata encoding.
-pub const META_VERSION: u8 = 1;
+const META_VERSION: u8 = 1;
 
 const TAG_INT: u8 = 0x01;
 const TAG_FLOAT: u8 = 0x02;

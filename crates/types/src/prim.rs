@@ -40,7 +40,7 @@ pub fn read_int(buf: &[u8], offset: usize, bytes: u8, endian: Endianness) -> i64
 
 /// Sign-extend the low `bytes*8` bits of `raw` to a full i64.
 #[inline]
-pub fn sign_extend(raw: u64, bytes: u8) -> i64 {
+fn sign_extend(raw: u64, bytes: u8) -> i64 {
     let shift = 64 - (bytes as u32) * 8;
     ((raw << shift) as i64) >> shift
 }

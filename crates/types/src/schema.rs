@@ -60,30 +60,8 @@ pub enum AtomType {
 
 impl AtomType {
     /// Whether the atom is an integer (signed or unsigned, any width).
-    pub fn is_integer(self) -> bool {
+    fn is_integer(self) -> bool {
         !matches!(
-            self,
-            AtomType::F32 | AtomType::F64 | AtomType::CFloat | AtomType::CDouble
-        )
-    }
-
-    /// Whether the atom is a signed integer type.
-    pub fn is_signed(self) -> bool {
-        matches!(
-            self,
-            AtomType::I8
-                | AtomType::I16
-                | AtomType::I32
-                | AtomType::I64
-                | AtomType::CShort
-                | AtomType::CInt
-                | AtomType::CLong
-        )
-    }
-
-    /// Whether the atom is a floating-point type.
-    pub fn is_float(self) -> bool {
-        matches!(
             self,
             AtomType::F32 | AtomType::F64 | AtomType::CFloat | AtomType::CDouble
         )
@@ -428,9 +406,6 @@ mod tests {
     #[test]
     fn atom_classification() {
         assert!(AtomType::CInt.is_integer());
-        assert!(AtomType::CInt.is_signed());
-        assert!(!AtomType::CUInt.is_signed());
-        assert!(AtomType::CDouble.is_float());
         assert!(!AtomType::CDouble.is_integer());
         assert!(AtomType::Bool.is_integer()); // stored and converted as u8
     }

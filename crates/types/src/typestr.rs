@@ -43,34 +43,6 @@ pub fn parse_type_string(input: &str) -> Result<TypeDesc, TypeError> {
     build(input, base, &dims)
 }
 
-/// Render a [`TypeDesc`] back into PBIO type-string notation (inverse of
-/// [`parse_type_string`] for the subset it covers; nested records render as
-/// their format name in braces and do not round-trip through the parser).
-pub fn type_string_of(ty: &TypeDesc) -> String {
-    fn dims<'a>(ty: &'a TypeDesc, out: &mut String) -> &'a TypeDesc {
-        match ty {
-            TypeDesc::Fixed(inner, n) => {
-                out.push_str(&format!("[{n}]"));
-                dims(inner, out)
-            }
-            TypeDesc::Var(inner, name) => {
-                out.push_str(&format!("[{name}]"));
-                dims(inner, out)
-            }
-            other => other,
-        }
-    }
-    let mut suffix = String::new();
-    let base = dims(ty, &mut suffix);
-    let base_str = match base {
-        TypeDesc::Atom(a) => a.type_string().to_owned(),
-        TypeDesc::String => "string".to_owned(),
-        TypeDesc::Record(s) => format!("{{{}}}", s.name()),
-        TypeDesc::Fixed(..) | TypeDesc::Var(..) => unreachable!("dims strips arrays"),
-    };
-    format!("{base_str}{suffix}")
-}
-
 enum Base {
     Atom(AtomType),
     Str,
@@ -192,6 +164,34 @@ fn build(whole: &str, base: Base, dims: &[Dim]) -> Result<TypeDesc, TypeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Render a [`TypeDesc`] back into PBIO type-string notation (inverse of
+    /// [`parse_type_string`] for the subset it covers; nested records render as
+    /// their format name in braces and do not round-trip through the parser).
+    fn type_string_of(ty: &TypeDesc) -> String {
+        fn dims<'a>(ty: &'a TypeDesc, out: &mut String) -> &'a TypeDesc {
+            match ty {
+                TypeDesc::Fixed(inner, n) => {
+                    out.push_str(&format!("[{n}]"));
+                    dims(inner, out)
+                }
+                TypeDesc::Var(inner, name) => {
+                    out.push_str(&format!("[{name}]"));
+                    dims(inner, out)
+                }
+                other => other,
+            }
+        }
+        let mut suffix = String::new();
+        let base = dims(ty, &mut suffix);
+        let base_str = match base {
+            TypeDesc::Atom(a) => a.type_string().to_owned(),
+            TypeDesc::String => "string".to_owned(),
+            TypeDesc::Record(s) => format!("{{{}}}", s.name()),
+            TypeDesc::Fixed(..) | TypeDesc::Var(..) => unreachable!("dims strips arrays"),
+        };
+        format!("{base_str}{suffix}")
+    }
 
     #[test]
     fn scalar_bases() {

@@ -64,7 +64,7 @@ pub struct Stats {
 
 /// Default step budget. Conversion programs execute O(record size)
 /// instructions; 2^32 steps is far beyond any record this workspace builds.
-pub const DEFAULT_STEP_LIMIT: u64 = 1 << 32;
+const DEFAULT_STEP_LIMIT: u64 = 1 << 32;
 
 #[inline]
 fn addr_of(regs: &[u64; NUM_REGS], base: Reg, disp: i32) -> u64 {
@@ -150,7 +150,7 @@ pub fn run(
 }
 
 /// [`run`] with an explicit step budget.
-pub fn run_with_limit(
+fn run_with_limit(
     prog: &Program,
     src: &[u8],
     dst: &mut [u8],

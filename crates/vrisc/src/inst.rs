@@ -299,14 +299,6 @@ pub enum Inst {
 }
 
 impl Inst {
-    /// True for control-transfer instructions.
-    pub fn is_branch(&self) -> bool {
-        matches!(
-            self,
-            Inst::Jmp { .. } | Inst::Brnz { .. } | Inst::Brz { .. }
-        )
-    }
-
     /// Branch target, if any.
     pub fn branch_target(&self) -> Option<Target> {
         match self {
@@ -335,7 +327,6 @@ mod tests {
     #[test]
     fn branch_helpers() {
         let mut j = Inst::Jmp { target: 7 };
-        assert!(j.is_branch());
         assert_eq!(j.branch_target(), Some(7));
         j.set_branch_target(9);
         assert_eq!(j.branch_target(), Some(9));
@@ -347,7 +338,6 @@ mod tests {
             base: abi::SRC,
             disp: 0,
         };
-        assert!(!ld.is_branch());
         assert_eq!(ld.branch_target(), None);
         ld.set_branch_target(3); // no-op
         assert_eq!(ld.branch_target(), None);

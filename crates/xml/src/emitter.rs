@@ -14,7 +14,7 @@ use pbio_types::prim;
 use crate::parser::escape_into;
 
 /// Element name used for anonymous array members.
-pub const ELEM_TAG: &str = "e";
+const ELEM_TAG: &str = "e";
 
 /// Encode a native record image into an XML document string.
 pub fn emit_record(layout: &Layout, native: &[u8]) -> Result<String, TypeError> {

@@ -297,7 +297,7 @@ fn parse_tag_body(body: &str, pos: usize) -> Result<(String, Vec<(String, String
 }
 
 /// Decode the five predefined entities plus numeric character references.
-pub fn decode_entities(raw: &str, pos: usize) -> Result<String, XmlError> {
+fn decode_entities(raw: &str, pos: usize) -> Result<String, XmlError> {
     if !raw.contains('&') {
         return Ok(raw.to_owned());
     }

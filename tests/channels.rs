@@ -1,19 +1,16 @@
 //! Integration and property tests for the event-channel layer
-//! (`pbio-chan`): compiled filters vs the interpreted reference, fan-out
-//! correctness, and end-to-end flows combining channels with the shared
-//! format server.
+//! (`pbio-chan`): compiled filters vs the interpreted reference. Fan-out
+//! through the daemon is tested in `netchan.rs`.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use pbio::{FormatServer, Reader, Writer};
-use pbio_chan::{Channel, CmpOp, FilterProgram, Literal, Predicate};
+use pbio_chan::{CmpOp, FilterProgram, Literal, Predicate};
 use pbio_integration::profile_strategy;
 use pbio_types::layout::Layout;
 use pbio_types::schema::{AtomType, FieldDecl, Schema};
-use pbio_types::value::{encode_native, RecordValue, Value};
-use pbio_types::ArchProfile;
+use pbio_types::value::{encode_native, RecordValue};
 
 fn event_schema() -> Schema {
     Schema::new(
@@ -145,115 +142,4 @@ proptest! {
             let _ = prog.matches(&vec![0u8; cut]);
         }
     }
-}
-
-/// Channel fan-out delivers each event to exactly the subscribers whose
-/// filters accept it, converted correctly for each subscriber architecture.
-#[test]
-fn channel_delivery_matches_filter_semantics() {
-    let schema = event_schema();
-    let source = &ArchProfile::SPARC_V8;
-    let mut chan = Channel::new(&schema, source).unwrap();
-    let source_layout = chan.source_layout().clone();
-
-    let preds = [
-        Predicate::gt("temp", 25.0),
-        Predicate::eq("alarm", true),
-        Predicate::le("seq", 3).and(Predicate::ne("level", 0)),
-    ];
-    let logs: Vec<Arc<Mutex<Vec<i64>>>> = (0..preds.len())
-        .map(|_| Arc::new(Mutex::new(Vec::new())))
-        .collect();
-    let targets = [
-        &ArchProfile::X86,
-        &ArchProfile::X86_64,
-        &ArchProfile::MIPS_64,
-    ];
-    for ((pred, log), target) in preds.iter().zip(&logs).zip(targets) {
-        let log = log.clone();
-        chan.subscribe(&schema, target, Some(pred.clone()), move |view| {
-            log.lock()
-                .unwrap()
-                .push(view.get("seq").unwrap().as_i64().unwrap());
-        })
-        .unwrap();
-    }
-
-    let mut expected: Vec<Vec<i64>> = vec![Vec::new(); preds.len()];
-    for seq in 0..20 {
-        let rv = RecordValue::new()
-            .with("seq", seq)
-            .with("level", (seq % 3) as u32)
-            .with("temp", 20.0 + seq as f64)
-            .with("ratio", 0.5f64)
-            .with("alarm", seq % 4 == 0);
-        let bytes = encode_native(&rv, &source_layout).unwrap();
-        for (i, pred) in preds.iter().enumerate() {
-            if pbio_chan::filter::eval_interpreted(pred, &source_layout, &bytes).unwrap() {
-                expected[i].push(seq as i64);
-            }
-        }
-        chan.publish(&bytes).unwrap();
-    }
-
-    for (log, expect) in logs.iter().zip(&expected) {
-        assert_eq!(&*log.lock().unwrap(), expect);
-    }
-}
-
-/// A full pipeline: writers sharing a format server feed streams to readers
-/// whose records are then republished on a channel.
-#[test]
-fn format_server_and_channel_pipeline() {
-    let schema = event_schema();
-    let server = FormatServer::new();
-
-    // Two connections from the same (sparc) application.
-    let mut conn_a = Writer::with_server(&ArchProfile::SPARC_V8, server.clone());
-    let mut conn_b = Writer::with_server(&ArchProfile::SPARC_V8, server.clone());
-    let fa = conn_a.register(&schema).unwrap();
-    let fb = conn_b.register(&schema).unwrap();
-    assert_eq!(fa, fb, "format server deduplicates across connections");
-
-    let rv = RecordValue::new()
-        .with("seq", 1i32)
-        .with("level", 9u32)
-        .with("temp", 42.0f64)
-        .with("ratio", 0.25f64)
-        .with("alarm", true);
-
-    let mut stream_a = Vec::new();
-    conn_a.write_value(fa, &rv, &mut stream_a).unwrap();
-    let mut stream_b = Vec::new();
-    conn_b.write_value(fb, &rv, &mut stream_b).unwrap();
-
-    // An x86-64 relay reads both streams and republishes on a channel.
-    let mut relay = Reader::new(&ArchProfile::X86_64);
-    relay.expect(&schema).unwrap();
-    let mut chan = Channel::new(&schema, &ArchProfile::X86_64).unwrap();
-    let seen = Arc::new(Mutex::new(0usize));
-    let seen2 = seen.clone();
-    chan.subscribe(
-        &schema,
-        &ArchProfile::SPARC_V9_64,
-        Some(Predicate::eq("alarm", true)),
-        move |view| {
-            assert_eq!(view.get("temp"), Some(Value::F64(42.0)));
-            *seen2.lock().unwrap() += 1;
-        },
-    )
-    .unwrap();
-
-    let mut republished = Vec::new();
-    for stream in [&stream_a, &stream_b] {
-        relay
-            .process(stream, |view| {
-                republished.push(view.to_value().unwrap());
-            })
-            .unwrap();
-    }
-    for v in &republished {
-        chan.publish_value(v).unwrap();
-    }
-    assert_eq!(*seen.lock().unwrap(), 2);
 }

@@ -785,6 +785,61 @@ fn plain_channel_becomes_durable_on_a_later_durable_open() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A subscriber that joined while its channel was plain gets the same
+/// consumer-lag books as one that joined a durable channel, once a later
+/// durable open makes the channel durable: a `$topo` `lags` row that
+/// tracks its deliveries and a `serv_consumer_lag{chan,conn}` gauge.
+#[test]
+fn subscriber_from_before_a_durable_upgrade_gets_a_lag_entry() {
+    let dir = store_dir("upgrade-lag");
+    let daemon = ServDaemon::bind_with("127.0.0.1:0", durable_config(&dir)).unwrap();
+    let addr = daemon.local_addr();
+    let schema = tick_schema();
+
+    let mut early = ServClient::connect(addr, &ArchProfile::X86_64).unwrap();
+    let chan = early.open_channel("upgraded").unwrap();
+    early.subscribe(chan, &schema, None).unwrap();
+
+    let mut publisher = ServClient::connect(addr, &ArchProfile::X86_64).unwrap();
+    let format = publisher.register_format(&schema).unwrap();
+    assert_eq!(publisher.open_channel_durable("upgraded").unwrap(), chan);
+    const N: u64 = 10;
+    for seq in 0..N as i64 {
+        publisher.publish_value(chan, format, &tick(seq)).unwrap();
+    }
+    await_acks(&mut publisher, N);
+    let mut got = 0;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while got < N && Instant::now() < deadline {
+        if early.poll(Duration::from_millis(100)).unwrap().is_some() {
+            got += 1;
+        }
+    }
+    assert_eq!(got, N, "the early subscriber saw every event");
+
+    let conn = early.conn_id();
+    let topo = daemon.topology();
+    let row = topo
+        .lags
+        .iter()
+        .find(|l| l.chan == chan && l.conn == conn)
+        .expect("the early subscriber has a lag row");
+    assert_eq!((row.head, row.delivered), (N, N), "{row:?}");
+    let gauge = labeled2(
+        "serv_consumer_lag",
+        "chan",
+        "upgraded",
+        "conn",
+        &conn.to_string(),
+    );
+    assert_eq!(daemon.registry().snapshot().gauge(&gauge), Some(0));
+
+    early.disconnect().unwrap();
+    publisher.disconnect().unwrap();
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A durable subscriber's `serv_consumer_lag{chan,conn}` gauge lives
 /// exactly as long as the subscriber: after a disconnect no `$stats`
 /// snapshot carries it, not even one taken after the teardown.

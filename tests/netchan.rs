@@ -59,7 +59,9 @@ fn cross_architecture_pubsub_with_source_side_filter() {
     let schema = telemetry_schema();
 
     // Publisher compiled for big-endian SPARC; subscribers on two
-    // little-endian x86 flavors. All conversion happens at the receivers.
+    // little-endian x86 flavors and two big-endian 64-bit ones. All
+    // conversion happens at the receivers; the 64-bit big-endian pair
+    // lays this schema out as SPARC-V8 does, so it reads zero-copy.
     let mut publisher = ServClient::connect(addr, &ArchProfile::SPARC_V8).unwrap();
     let fmt = publisher.register_format(&schema).unwrap();
     let chan = publisher.open_channel("telemetry").unwrap();
@@ -74,6 +76,21 @@ fn cross_architecture_pubsub_with_source_side_filter() {
     let hot = Predicate::gt("temp", 30.0);
     filtered
         .subscribe(filtered_chan, &schema, Some(&hot))
+        .unwrap();
+
+    // A compound predicate, compiled against the SPARC wire format.
+    let mut compound = ServClient::connect(addr, &ArchProfile::MIPS_64).unwrap();
+    let compound_chan = compound.open_channel("telemetry").unwrap();
+    let early_warm = Predicate::le("seq", 3).and(Predicate::ne("temp", 10.0));
+    compound
+        .subscribe(compound_chan, &schema, Some(&early_warm))
+        .unwrap();
+
+    let mut alarms = ServClient::connect(addr, &ArchProfile::SPARC_V9_64).unwrap();
+    let alarms_chan = alarms.open_channel("telemetry").unwrap();
+    let alarm = Predicate::eq("alarm", true);
+    alarms
+        .subscribe(alarms_chan, &schema, Some(&alarm))
         .unwrap();
 
     let readings = [
@@ -111,22 +128,37 @@ fn cross_architecture_pubsub_with_source_side_filter() {
         "no extra events"
     );
 
+    // MIPS-64 sees seq <= 3 except the 10-degree reading; SPARC-V9-64
+    // only the alarm.
+    let got = collect(&mut compound, 2);
+    assert_eq!(got, vec![(1, 25.0, true), (2, 35.5, true)]);
+    let got = collect(&mut alarms, 1);
+    assert_eq!(got, vec![(3, 10.0, true)]);
+    for sub in [&mut compound, &mut alarms] {
+        assert!(
+            sub.poll(Duration::from_millis(200)).unwrap().is_none(),
+            "no extra events"
+        );
+    }
+
     let stats = daemon.stats();
     assert_eq!(stats.events_in, 4);
     assert_eq!(
-        stats.filtered_at_source, 2,
-        "two cold readings filtered at the source"
+        stats.filtered_at_source, 7,
+        "2 cold + 2 by the compound filter + 3 without alarm, at the source"
     );
     assert_eq!(stats.dropped, 0);
     assert_eq!(
-        stats.events_out, 6,
-        "4 to the plain subscriber + 2 to the filtered one"
+        stats.events_out, 9,
+        "4 plain + 2 filtered + 2 compound + 1 alarm"
     );
-    assert_eq!(stats.active_connections, 3);
+    assert_eq!(stats.active_connections, 5);
 
     publisher.disconnect().unwrap();
     plain.disconnect().unwrap();
     filtered.disconnect().unwrap();
+    compound.disconnect().unwrap();
+    alarms.disconnect().unwrap();
     daemon.shutdown();
 }
 
